@@ -994,9 +994,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--visibility-window",
         default="auto",
         help=(
-            "visibility caching: 'auto' picks per-step rebuild vs "
-            "cached-candidate windows from the step size; an integer "
-            "pins the window length (1 = always rebuild)"
+            "visibility mode: 'auto' (default) and 1 run the exact "
+            "tiled kernel every step; an integer K > 1 reuses one "
+            "cached candidate query for K steps (same relation, "
+            "slower at every measured step size)"
         ),
     )
     _add_profile_args(sim_parser)
@@ -1060,8 +1061,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--visibility-window",
         default="auto",
         help=(
-            "visibility caching: 'auto' sizes cached-candidate windows "
-            "from the step; an integer pins the window length"
+            "visibility mode: 'auto' (default) and 1 run the exact "
+            "tiled kernel every step; an integer K > 1 reuses one "
+            "cached candidate query for K steps (same relation)"
         ),
     )
     _add_profile_args(timeline_parser)
@@ -1098,8 +1100,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--visibility-window",
         default="auto",
         help=(
-            "visibility caching for the benched fast engine: 'auto' or "
-            "an integer window length (1 = always rebuild)"
+            "visibility mode of the benched fast engine: 'auto' and 1 "
+            "run the exact tiled kernel; an integer K > 1 caches "
+            "candidates for K steps"
         ),
     )
     _add_profile_args(bench_parser)

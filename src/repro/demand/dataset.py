@@ -310,6 +310,16 @@ class DemandDataset:
         """Per-cell latitudes in degrees (copy), aligned with :attr:`cells`."""
         return self._latitudes.copy()
 
+    def longitudes(self) -> np.ndarray:
+        """Per-cell center longitudes in degrees, aligned with :attr:`cells`.
+
+        Read from the columns when the dataset has them, so a columnar
+        dataset builds no :class:`ServiceCell` objects.
+        """
+        if self._columns is not None:
+            return self._columns["center_lon"].copy()
+        return np.array([c.center.lon_deg for c in self._cells], dtype=float)
+
     def cell_incomes(self) -> np.ndarray:
         """Per-cell county median income (copy), aligned with :attr:`cells`."""
         return self._incomes.copy()

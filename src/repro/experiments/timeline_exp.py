@@ -38,8 +38,8 @@ SCENARIOS = (10.0, 20.0, 35.0)
 #: the CLI and CI smoke runs exercise the sub-minute regime.
 DAY_STEP_S = 1800.0
 
-#: The flat-identity differential runs at a sub-minute step so the
-#: cached-candidate windowed visibility path is the one being proven.
+#: The flat-identity differential runs at a sub-minute step, the
+#: regime the timeline workload exists for.
 IDENTITY_DURATION_S = 1200.0
 IDENTITY_STEP_S = 30.0
 

@@ -1,21 +1,28 @@
 """The constellation simulation loop.
 
 Per step: propagate every shell, find the satellites visible from each
-demand cell (a KD-tree over ECEF positions, since "within central angle
-psi" is "within chord distance 2R sin(psi/2)" on the sphere), hand the
-visibility relation to a beam-assignment strategy, and accumulate metrics.
+demand cell ("within central angle psi" is "within chord distance
+2R sin(psi/2)" on the sphere, a squared-distance test on ECEF
+positions), hand the visibility relation to a beam-assignment strategy,
+check no satellite spends more beams than it has, and accumulate
+metrics.
 
 Two engines produce each step's visibility relation:
 
 * ``engine="fast"`` (default) — a precomputed
-  :class:`~repro.sim.visibility_index.VisibilityIndex` that builds its
-  KD-tree once and propagates satellites by rotating cached epoch
-  geometry, handing strategies a CSR array relation.
+  :class:`~repro.sim.visibility_index.VisibilityIndex` that tiles the
+  static cells once, propagates satellites by rotating cached epoch
+  geometry, and runs an exact tiled kernel (cull by tile, test the
+  remaining pairs, write CSR rows in cell order), handing strategies a
+  CSR array relation.
 * ``engine="reference"`` — the original per-step KD-tree rebuild over
   Python lists, retained for differential testing and benchmarking
   (see ``repro-divide bench``).
 
 Both engines produce identical results; ``repro-divide bench`` asserts it.
+Cell centers are read from the dataset's columns, so a columnar
+:class:`~repro.demand.dataset.DemandDataset` builds no per-cell objects
+unless impairments ask for them.
 """
 
 from __future__ import annotations
@@ -83,10 +90,10 @@ class ConstellationSimulation:
         (the original per-step KD-tree rebuild).
 
         ``visibility_window`` is forwarded to the fast path's
-        :class:`VisibilityIndex`: ``"auto"`` (default) lets the index
-        choose between per-step rebuilds and cached-candidate windows
-        from the step size, an int pins the window length. All modes
-        produce bit-identical relations.
+        :class:`VisibilityIndex`: ``"auto"`` (default) and ``1`` run the
+        exact tiled kernel every step, an int ``K > 1`` reuses one
+        cached candidate query for K steps. All modes produce
+        bit-identical relations.
         """
         if not shells:
             raise SimulationError("simulation needs at least one shell")
@@ -106,6 +113,9 @@ class ConstellationSimulation:
         self.satellite_count = sum(w.total for w in self.walkers)
 
         counts = dataset.counts().astype(float)
+        # Stored, not read off ``dataset.cells``: a columnar dataset
+        # would otherwise build every ServiceCell object.
+        self.cell_count = int(counts.shape[0])
         self.demands_mbps = np.minimum(
             counts * 100.0 / oversubscription,
             self.beam_plan.cell_capacity_mbps,
@@ -182,9 +192,7 @@ class ConstellationSimulation:
     @staticmethod
     def _cells_to_ecef(dataset: DemandDataset) -> np.ndarray:
         lat = np.radians(dataset.latitudes())
-        lon = np.radians(
-            np.array([c.center.lon_deg for c in dataset.cells], dtype=float)
-        )
+        lon = np.radians(dataset.longitudes())
         return EARTH_RADIUS_KM * np.stack(
             [
                 np.cos(lat) * np.cos(lon),
@@ -212,7 +220,7 @@ class ConstellationSimulation:
         :class:`VisibilityIndex` is differentially tested and
         benchmarked against.
         """
-        visible_per_cell: List[List[int]] = [[] for _ in range(len(self.dataset.cells))]
+        visible_per_cell: List[List[int]] = [[] for _ in range(self.cell_count)]
         all_lats: List[np.ndarray] = []
         offset = 0
         for shell_index, (walker, chord) in enumerate(
@@ -247,28 +255,26 @@ class ConstellationSimulation:
 
     def run(self, clock: SimulationClock) -> CoverageMetrics:
         """Run the simulation, returning the raw metric accumulators."""
-        metrics = CoverageMetrics(cell_count=len(self.dataset.cells))
+        metrics = CoverageMetrics(cell_count=self.cell_count)
         registry = obs.registry()
-        registry.gauge("sim.cells").set(len(self.dataset.cells))
+        registry.gauge("sim.cells").set(self.cell_count)
         registry.gauge("sim.satellites").set(self.satellite_count)
         steps = registry.counter("sim.steps")
         nnz = registry.counter("sim.csr.nnz")
         covered_cells = registry.counter("sim.covered.cells")
         allocated_total = registry.counter("sim.allocated.total_mbps")
         if self.engine == "fast":
-            # Give the index the clock's step so window="auto" can size
-            # candidate windows before the first two queries land.
+            # Give the index the clock's step so an integer window can
+            # size its candidate inflation before two queries land.
             self.visibility_index.configure_window(step_hint_s=clock.step_s)
         with obs.span(
             "sim.run",
             engine=self.engine,
-            cells=len(self.dataset.cells),
+            cells=self.cell_count,
             satellites=self.satellite_count,
         ):
             for time_s in clock.times():
                 outcome, in_view, sat_lats = self.step(time_s)
-                if int(outcome.beams_used.max(initial=0)) > self.beam_plan.beams_per_satellite:
-                    raise SimulationError("strategy oversubscribed a satellite's beams")
                 # Correctness counters: engine-independent by construction
                 # (both engines hand back identical outcomes), asserted by
                 # tests/obs/test_instrumentation.py.
@@ -296,14 +302,22 @@ class ConstellationSimulation:
         (:mod:`repro.timeline`) use to apply diurnal multipliers without
         mutating the simulation. ``None`` (the default, and what
         :meth:`run` passes) keeps the static :attr:`demands_mbps`.
+
+        Raises :class:`SimulationError` when the strategy spends more
+        beams on a satellite than it has, so every loop that steps the
+        simulation (:meth:`run`, :func:`repro.timeline.run_timeline`)
+        gets the check.
         """
-        if demands_mbps is not None and demands_mbps.shape[0] != len(
-            self.dataset.cells
-        ):
+        if demands_mbps is not None and demands_mbps.shape[0] != self.cell_count:
             raise SimulationError("demand override misaligned with cells")
         if self.engine == "fast":
-            return self._step_fast(time_s, demands_mbps)
-        return self._step_reference(time_s, demands_mbps)
+            result = self._step_fast(time_s, demands_mbps)
+        else:
+            result = self._step_reference(time_s, demands_mbps)
+        beams_used = result[0].beams_used
+        if int(beams_used.max(initial=0)) > self.beam_plan.beams_per_satellite:
+            raise SimulationError("strategy oversubscribed a satellite's beams")
+        return result
 
     def _step_fast(
         self, time_s: float, demands_override: Optional[np.ndarray] = None
@@ -391,7 +405,7 @@ class ConstellationSimulation:
             mean_handovers_per_step=metrics.mean_handovers_per_step(),
             mean_reconnections_per_step=metrics.mean_reconnections_per_step(),
             steps=metrics.steps,
-            cells=len(self.dataset.cells),
+            cells=self.cell_count,
             satellites=self.satellite_count,
             min_coverage_fraction=float(coverage.min()),
             mean_coverage_fraction=float(coverage.mean()),

@@ -1,49 +1,47 @@
 """Compact visibility relation and the precomputed index that builds it.
 
-The simulation's visibility relation ("which satellites can serve which
-cells right now") was originally a Python list of per-cell index arrays,
-rebuilt from a fresh per-shell KD-tree every step. This module replaces
-both halves with array machinery:
-
-* :class:`CSRVisibility` stores the relation in CSR form — one flat
-  ``indices`` array of satellite ids plus an ``indptr`` offset array —
-  so strategies, impairments, and metrics can operate on it with bulk
-  NumPy ops. ``to_lists()`` adapts back to the legacy list-of-arrays API.
+* :class:`CSRVisibility` stores the relation "which satellites can serve
+  which cells right now" in CSR form — one flat ``indices`` array of
+  satellite ids plus an ``indptr`` offset array — so strategies,
+  impairments, and metrics can operate on it with bulk NumPy ops.
+  ``to_lists()`` adapts back to the legacy list-of-arrays API.
 * :class:`VisibilityIndex` precomputes everything that does not change
-  between steps: the KD-tree over the (static, Earth-fixed) demand
-  cells, and each shell's epoch ECI geometry. Per step, satellite
-  positions are a *rotation* of the cached epoch geometry (circular
-  orbits: ``pos(t) = cos(nt) pos0 + sin(nt) tan0``, then one Earth-spin
-  matrix), so a step costs two scalar trig calls per shell plus sparse
-  KD-tree range queries — no tree is ever rebuilt.
+  between steps: the (static, Earth-fixed) demand cells split into
+  spatially compact tiles, and each shell's epoch ECI geometry. Per
+  step, satellite positions are a *rotation* of the cached epoch
+  geometry (circular orbits: ``pos(t) = cos(nt) pos0 + sin(nt) tan0``,
+  then one Earth-spin matrix).
 
 Two per-step modes produce bit-identical relations:
 
-* **rebuild** — one exact sparse range query per shell against the cell
-  tree, grouped into CSR by :func:`group_pairs` (a counting sort, so the
-  step is O(nnz) with no fused sort key to overflow).
-* **cached** — once per window of K steps, a single *inflated* range
-  query (``chord + max displacement over the half-window``) collects a
-  candidate superset; each step inside the window refines the cached
-  (cell, satellite) pairs with one vectorized exact chord-distance
-  check and compresses the survivors into CSR. No KD-tree construction
-  or sparse query runs inside the step loop. The inflation radius is a
-  strict bound on satellite motion (circular orbits at fixed radius:
-  ``|v| <= a * (n + omega_earth)``), so the candidate set provably
-  contains every true pair for every time in the window, and the refine
-  applies exactly the KD-tree's own squared-chord predicate — the two
-  modes agree bit for bit (differentially tested).
+* **exact** (``window=1`` and ``"auto"``; ``last_query_stats["mode"]``
+  reads ``"rebuild"``) — a tiled kernel. Satellites are culled against
+  the sphere bounding all cells, then (tile, satellite) pairs against
+  ``tile_radius + chord``; a satellite within ``chord - tile_radius`` of
+  a tile's center sees the whole tile, and every other surviving pair is
+  tested cell by cell with the squared-chord predicate cKDTree applies.
+  Each tile's boolean block is written straight into cell-order CSR
+  with satellite ids ascending: no KD-tree query, pair grouping or sort
+  runs in the step.
+* **cached** (an int ``window=K > 1``) — once per window of K steps, a
+  single *inflated* KD-tree range query (``chord + max displacement over
+  the half-window``) collects a candidate superset; each step inside the
+  window refines the cached (cell, satellite) pairs with the same exact
+  chord test and compresses the survivors into CSR. The inflation radius
+  is a strict bound on satellite motion (circular orbits at fixed
+  radius: ``|v| <= a * (n + omega_earth)``), so the candidate set
+  provably contains every true pair for every time in the window.
 
-``window="auto"`` picks the window length per query from the shells'
-mean motion and the observed step size using a measured cost model: at
-coarse steps (60 s, where a Gen1 satellite moves ~40% of a chord per
-step) candidate inflation makes the rebuild cheaper and K=1 is chosen;
-at the sub-minute steps that handover/diurnal timelines need, windows
-win and K grows as the step shrinks.
+Both modes apply exactly cKDTree's predicate (per-axis ``(cell - sat)**2``
+accumulated x, y, z, compared ``<= chord**2``), so they agree bit for bit
+with each other and with the reference engine (differentially tested).
+Measured at national scale the exact kernel beats every window length at
+1–30 s steps, so ``"auto"`` resolves to it.
 
 Gateway (bent-pipe) eligibility is a boolean ndarray mask from a ball
 query against a small precomputed gateway KD-tree (not a dense
-satellites x gateways distance matrix).
+satellites x gateways distance matrix); ineligible satellites are
+dropped before any culling.
 """
 
 from __future__ import annotations
@@ -175,6 +173,192 @@ def group_pairs(
     return indptr, order
 
 
+#: Cells per tile of the exact kernel. Smaller tiles cull tighter but
+#: pay more per-tile NumPy overhead each step; 256 measured fastest at
+#: national res 5 (PERFORMANCE.md "The exact kernel").
+_TILE_CELLS = 256
+
+#: Slack (km) on every tile-level cull and whole-tile cover decision.
+#: Float error in the tile distances is ~1e-12 km, so one metre keeps
+#: both decisions strictly conservative: they only choose which pairs
+#: get the exact per-pair test, never the answer.
+_TILE_MARGIN_KM = 1e-3
+
+
+def _tile_order(
+    points: np.ndarray, tile_cells: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Order points into spatially compact tiles of at most ``tile_cells``.
+
+    A k-d split: each range is cut across its widest axis with one
+    ``argpartition`` (no full sort), at a point that keeps the tile
+    count per side balanced. Returns ``(order, bounds)``: tile ``t`` is
+    ``order[bounds[t]:bounds[t + 1]]``.
+    """
+    n = points.shape[0]
+    axes = np.ascontiguousarray(points.T)  # per-axis rows: fast reductions
+    order = np.arange(n, dtype=np.int64)
+    starts: List[int] = []
+    stack = [(0, n)]
+    while stack:
+        lo, hi = stack.pop()
+        size = hi - lo
+        if size <= tile_cells:
+            if size:
+                starts.append(lo)
+            continue
+        segment = order[lo:hi]
+        coords = np.take(axes, segment, axis=1)
+        axis = int(np.argmax(coords.max(axis=1) - coords.min(axis=1)))
+        tiles = -(-size // tile_cells)
+        split = size * (tiles // 2) // tiles
+        order[lo:hi] = segment[np.argpartition(coords[axis], split)]
+        stack.append((lo + split, hi))
+        stack.append((lo, lo + split))
+    return order, np.array(starts + [n], dtype=np.int64)
+
+
+def _bounding_spheres(
+    points: np.ndarray, bounds: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Box-midpoint centers and radii of the point ranges ``bounds``."""
+    starts = bounds[:-1]
+    centers = 0.5 * (
+        np.minimum.reduceat(points, starts, axis=0)
+        + np.maximum.reduceat(points, starts, axis=0)
+    )
+    offsets = points - np.repeat(centers, np.diff(bounds), axis=0)
+    radii = np.sqrt(
+        np.maximum.reduceat((offsets * offsets).sum(axis=1), starts)
+    )
+    return centers, radii
+
+
+class _CellTiles:
+    """The static cells in compact tiles, and the exact kernel over them.
+
+    Per step, :meth:`visible` culls satellites against the sphere
+    bounding every cell, then (tile, satellite) pairs against
+    ``tile_radius + chord``. A satellite within ``chord - tile_radius``
+    of a tile's center sees the whole tile; every other surviving pair
+    is tested cell by cell with the squared-chord predicate cKDTree
+    applies (per-axis ``(cell - sat)**2`` summed x, y, z, then
+    ``<= chord**2``). Both tile decisions carry :data:`_TILE_MARGIN_KM`,
+    so they only pick which pairs are tested: the relation is the one
+    the per-pair predicate gives over all pairs.
+    """
+
+    def __init__(self, cell_ecef: np.ndarray, tile_cells: int = _TILE_CELLS):
+        self.n_cells = cell_ecef.shape[0]
+        self.order, bounds = _tile_order(cell_ecef, tile_cells)
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(self.n_cells, dtype=np.int64)
+        tiled = cell_ecef[self.order]
+        self.axes = tuple(
+            np.ascontiguousarray(tiled[:, axis]) for axis in range(3)
+        )
+        self.spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        if self.n_cells:
+            self.centers, self.radii = _bounding_spheres(tiled, bounds)
+            whole_center, whole_radius = _bounding_spheres(
+                tiled, np.array([0, self.n_cells])
+            )
+            self.whole_center = whole_center[0]
+            self.whole_radius = float(whole_radius[0])
+
+    def visible(
+        self,
+        sat_ecef: np.ndarray,
+        sat_ids: np.ndarray,
+        chord_km: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        """CSR ``(indptr, indices)`` of the satellites each cell sees.
+
+        ``sat_ids`` must ascend; rows come out in cell order with
+        satellite ids ascending. Also returns how many (cell,
+        satellite) pairs the exact test evaluated and how many passed.
+        """
+        n_cells = self.n_cells
+        counts_tiled = np.zeros(n_cells, dtype=np.int64)
+        # Per tile with any satellite in reach: (span, satellite ids,
+        # satellites x cells hit mask, or None when every cell sees
+        # every one of them).
+        blocks: List[Tuple[int, int, np.ndarray, Optional[np.ndarray]]] = []
+        evaluated = passed = 0
+        if n_cells and sat_ids.size:
+            # Satellites out of reach of every cell.
+            offset = sat_ecef - self.whole_center
+            reach = np.sqrt((offset * offset).sum(axis=1))
+            keep = reach <= self.whole_radius + chord_km + _TILE_MARGIN_KM
+            sat_ids = sat_ids[keep]
+            sat_x, sat_y, sat_z = (
+                np.ascontiguousarray(sat_ecef[keep, axis]) for axis in range(3)
+            )
+            chord_km = chord_km[keep]
+            chord2_col = (chord_km * chord_km)[:, None]
+            # (tile, satellite) center distances, then the two culls.
+            centers = self.centers
+            delta = centers[:, 0:1] - sat_x
+            dist = delta * delta
+            delta = centers[:, 1:2] - sat_y
+            dist += delta * delta
+            delta = centers[:, 2:3] - sat_z
+            dist += delta * delta
+            np.sqrt(dist, out=dist)
+            radii = self.radii[:, None]
+            near = dist <= radii + (chord_km + _TILE_MARGIN_KM)
+            partial = near & (dist > (chord_km - _TILE_MARGIN_KM) - radii)
+            cell_x, cell_y, cell_z = self.axes
+            for tile, (lo, hi) in enumerate(self.spans):
+                cols = np.flatnonzero(near[tile])
+                width = cols.size
+                if not width:
+                    continue
+                tested = partial[tile, cols]
+                pick = cols[tested]
+                if not pick.size:
+                    counts_tiled[lo:hi] = width
+                    blocks.append((lo, hi, sat_ids[cols], None))
+                    continue
+                # Exact test, satellites x cells (cells innermost).
+                delta = sat_x[pick, None] - cell_x[lo:hi]
+                dist2 = delta * delta
+                delta = sat_y[pick, None] - cell_y[lo:hi]
+                dist2 += delta * delta
+                delta = sat_z[pick, None] - cell_z[lo:hi]
+                dist2 += delta * delta
+                hits = dist2 <= chord2_col[pick]
+                counts = np.add.reduce(hits, axis=0, dtype=np.int64)
+                evaluated += hits.size
+                passed += int(counts.sum())
+                if pick.size < width:
+                    counts += width - pick.size
+                    block = np.ones((width, hi - lo), dtype=bool)
+                    block[tested] = hits
+                else:
+                    block = hits
+                counts_tiled[lo:hi] = counts
+                blocks.append((lo, hi, sat_ids[cols], block))
+        counts = counts_tiled[self.rank]
+        indptr = np.zeros(n_cells + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        # Scatter each tile's rows to their cells' CSR slots; satellite
+        # ids ascend within a row because ``cols`` does.
+        for lo, hi, sats, block in blocks:
+            starts = indptr[self.order[lo:hi]]
+            if block is None:
+                indices[starts[:, None] + np.arange(sats.size)] = sats
+                continue
+            row_counts = counts_tiled[lo:hi]
+            flat = np.flatnonzero(block.T)  # cell-major hit positions
+            row_starts = np.cumsum(row_counts) - row_counts
+            slots = np.repeat(starts - row_starts, row_counts)
+            slots += np.arange(flat.size)
+            indices[slots] = np.take(np.tile(sats, hi - lo), flat)
+        return indptr, indices, evaluated, passed
+
+
 @dataclass(frozen=True)
 class _ShellGeometry:
     """Per-shell cached epoch geometry and query radii."""
@@ -191,18 +375,6 @@ class _ShellGeometry:
     max_speed_km_s: float
 
 
-#: Measured per-pair costs on the baseline bench machine (see
-#: PERFORMANCE.md "Step engine"): a rebuild step costs ~95 ns per
-#: emitted pair (sparse dual-tree query + CSR grouping); a cached step
-#: costs ~60 ns per *candidate* (exact refine + CSR compaction). The
-#: auto policy only has to rank K values, so the ratio matters, not the
-#: absolute numbers.
-_REBUILD_NS_PER_PAIR = 95.0
-_REFINE_NS_PER_CANDIDATE = 60.0
-
-#: Longest window the auto policy will pick.
-_MAX_AUTO_WINDOW = 64
-
 #: Slack (seconds) added to the window half-span when sizing the
 #: inflation radius, so query times that land a few float ulps past the
 #: nominal window edge are still provably covered.
@@ -213,18 +385,17 @@ class VisibilityIndex:
     """Precomputed geometry answering "who sees whom" for every step.
 
     Build once per simulation; call :meth:`query` per step. The demand
-    cells are fixed in the Earth frame, so their KD-tree is built a
+    cells are fixed in the Earth frame, so their tiles are built a
     single time here; satellites are propagated by rotating cached epoch
-    ECI geometry and range-queried against that fixed tree.
+    ECI geometry.
 
-    ``window`` selects the per-step mode: ``1`` forces a fresh exact
-    range query every step, an int ``K > 1`` reuses one inflated
-    candidate query for K consecutive steps (refined exactly per step),
-    and ``"auto"`` (default) picks K per query from the shells' mean
-    motion and the step size (``step_hint_s``, or the spacing of the
-    queries actually observed). Every mode returns bit-identical
-    relations; ``last_query_stats`` reports which mode ran and how many
-    candidates the refine scanned.
+    ``window`` selects the per-step mode: ``1`` and ``"auto"`` (default)
+    run the exact tiled kernel every step; an int ``K > 1`` reuses one
+    inflated candidate query for K consecutive steps (refined exactly
+    per step), sized from ``step_hint_s`` or the spacing of the queries
+    actually observed. Every mode returns bit-identical relations;
+    ``last_query_stats`` reports which mode ran and how many (cell,
+    satellite) pairs the exact test scanned.
     """
 
     def __init__(
@@ -243,12 +414,14 @@ class VisibilityIndex:
             raise SimulationError(
                 "gateway positions and radii must be given together"
             )
-        self._cell_tree = cKDTree(cell_ecef)
+        cell_ecef = np.asarray(cell_ecef, dtype=np.float64)
+        self._cell_ecef = cell_ecef
+        self._cell_tree_cache: Optional[cKDTree] = None
         self._n_cells = cell_ecef.shape[0]
+        self._tiles = _CellTiles(cell_ecef)
         # Contiguous per-axis cell coordinates for the cached-mode
         # refine (fancy-gathering a strided 2-D column is pathologically
         # slow compared to contiguous 1-D takes).
-        cell_ecef = np.asarray(cell_ecef, dtype=np.float64)
         self._cell_axes = tuple(
             np.ascontiguousarray(cell_ecef[:, axis]) for axis in range(3)
         )
@@ -278,12 +451,11 @@ class VisibilityIndex:
             )
             offset += walker.total
         self.n_satellites = offset
-        # Squared chord radius per satellite, for the cached refine.
-        self._chord2_by_sat = np.empty(self.n_satellites, dtype=np.float64)
-        for shell in self._shells:
-            self._chord2_by_sat[shell.offset : shell.offset + shell.total] = (
-                shell.chord_radius_km * shell.chord_radius_km
-            )
+        # Chord radius per satellite, for the exact tests.
+        self._chord_by_sat = np.repeat(
+            np.array(chord_radii_km, dtype=np.float64),
+            [shell.total for shell in self._shells],
+        )
         self._window = self._validate_window(window)
         self._step_hint_s = (
             float(step_hint_s) if step_hint_s and step_hint_s > 0 else None
@@ -294,6 +466,13 @@ class VisibilityIndex:
         #: Stats of the most recent :meth:`query` (mode, candidate and
         #: surviving pair counts, whether a window was rebuilt).
         self.last_query_stats: Dict[str, object] = {}
+
+    @property
+    def _cell_tree(self) -> cKDTree:
+        """KD-tree over the cells, built on first use (cached windows only)."""
+        if self._cell_tree_cache is None:
+            self._cell_tree_cache = cKDTree(self._cell_ecef)
+        return self._cell_tree_cache
 
     @staticmethod
     def _validate_window(window: Union[int, str]) -> Union[int, str]:
@@ -355,11 +534,11 @@ class VisibilityIndex:
         """(CSR visibility, satellite latitudes in degrees) at ``time_s``."""
         window_steps, hint_s = self._plan_window()
         if window_steps <= 1:
-            result = self._query_rebuild(time_s)
+            result = self._query_exact(time_s)
         else:
             result = self._query_cached(time_s, window_steps, hint_s)
-        # Observe the spacing of consecutive queries so "auto" can size
-        # windows even when no explicit step hint was configured.
+        # Observe the spacing of consecutive queries so an integer
+        # window can be sized even when no step hint was configured.
         if self._last_query_t is not None:
             delta = abs(time_s - self._last_query_t)
             if delta > 0.0:
@@ -369,91 +548,64 @@ class VisibilityIndex:
 
     def _plan_window(self) -> Tuple[int, Optional[float]]:
         hint_s = self._step_hint_s or self._inferred_step_s
-        if self._window == "auto":
-            window_steps = self._auto_window_steps(hint_s)
-        else:
-            window_steps = int(self._window)
+        # "auto" is the exact kernel: measured at national res 5 for 1,
+        # 5, 15 and 30 s steps, no window length beats it (PERFORMANCE.md
+        # "Windowed visibility").
+        window_steps = 1 if self._window == "auto" else int(self._window)
         if window_steps > 1 and not hint_s:
             # Can't size the inflation radius without a step estimate;
-            # fall back to exact rebuilds until one is observed.
+            # fall back to exact steps until one is observed.
             return 1, hint_s
         return window_steps, hint_s
 
-    def _auto_window_steps(self, hint_s: Optional[float]) -> int:
-        """Window length minimizing the modeled per-step cost.
-
-        Candidate count grows roughly with the squared inflated radius,
-        so a window of K steps pays
-        ``rebuild * growth / K + refine * growth`` per step against
-        ``rebuild`` for K=1, where
-        ``growth = (1 + worst_shell_displacement_fraction * (K-1)/2)^2``.
-        """
-        if not hint_s or hint_s <= 0.0:
-            return 1
-        alpha = 0.0  # per-step displacement as a fraction of the chord
-        for shell in self._shells:
-            if shell.chord_radius_km > 0.0:
-                alpha = max(
-                    alpha, shell.max_speed_km_s * hint_s / shell.chord_radius_km
-                )
-        best_steps, best_cost = 1, _REBUILD_NS_PER_PAIR
-        for steps in range(2, _MAX_AUTO_WINDOW + 1):
-            inflation = alpha * 0.5 * (steps - 1)
-            if inflation > 1.0:
-                break  # never inflate past a whole chord
-            growth = (1.0 + inflation) ** 2
-            cost = (
-                _REBUILD_NS_PER_PAIR * growth / steps
-                + _REFINE_NS_PER_CANDIDATE * growth
-            )
-            # Demand a real win over the rebuild, not a modeled wash.
-            if cost < best_cost * 0.97:
-                best_steps, best_cost = steps, cost
-        return best_steps
-
-    # ------------------------------------------------------------------
-    # Mode 1: exact per-step rebuild
-
-    def _query_rebuild(self, time_s: float):
-        pair_cells: List[np.ndarray] = []
-        pair_sats: List[np.ndarray] = []
+    def _satellites(
+        self, time_s: float
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+        """Every shell at ``time_s``: ECEF ``(n, 3)``, gateway mask, lats."""
+        sat_ecef = np.empty((self.n_satellites, 3), dtype=np.float64)
+        eligible: Optional[np.ndarray] = (
+            np.empty(self.n_satellites, dtype=bool)
+            if self._gateway_tree is not None
+            else None
+        )
         lats: List[np.ndarray] = []
-        candidates = 0
         for shell_index, shell in enumerate(self._shells):
             ecef = self.satellite_ecef(shell_index, time_s)
             lat, _, _ = ecef_to_latlon(ecef)
             lats.append(lat)
-            eligible = self.gateway_eligibility(shell_index, ecef)
-            sat_tree = cKDTree(ecef)
-            pairs = sat_tree.sparse_distance_matrix(
-                self._cell_tree, shell.chord_radius_km, output_type="ndarray"
-            )
-            sats = pairs["i"].astype(np.int64)
-            cells = pairs["j"].astype(np.int64)
-            candidates += sats.size
+            span = slice(shell.offset, shell.offset + shell.total)
+            sat_ecef[span] = ecef
             if eligible is not None:
-                keep = eligible[sats]
-                sats = sats[keep]
-                cells = cells[keep]
-            pair_sats.append(sats + shell.offset)
-            pair_cells.append(cells)
-        cells = np.concatenate(pair_cells)
-        sats = np.concatenate(pair_sats)
-        indptr, order = group_pairs(
-            cells, sats, self._n_cells, self.n_satellites
+                eligible[span] = self.gateway_eligibility(shell_index, ecef)
+        return sat_ecef, eligible, np.concatenate(lats)
+
+    # ------------------------------------------------------------------
+    # Mode 1: exact per-step tiled kernel
+
+    def _query_exact(self, time_s: float):
+        sat_ecef, eligible, lats = self._satellites(time_s)
+        sat_ids = (
+            np.flatnonzero(eligible)
+            if eligible is not None
+            else np.arange(self.n_satellites, dtype=np.int64)
+        )
+        indptr, indices, evaluated, passed = self._tiles.visible(
+            sat_ecef[sat_ids],
+            sat_ids,
+            self._chord_by_sat[sat_ids],
         )
         csr = CSRVisibility(
-            indptr=indptr, indices=sats[order], n_satellites=self.n_satellites
+            indptr=indptr, indices=indices, n_satellites=self.n_satellites
         )
         self.last_query_stats = {
             "mode": "rebuild",
             "window_steps": 1,
             "window_rebuilt": False,
-            "candidates": int(candidates),
+            "candidates": evaluated,
             "kept": csr.nnz,
-            "refine_ratio": csr.nnz / candidates if candidates else 1.0,
+            "refine_ratio": passed / evaluated if evaluated else 1.0,
         }
-        return csr, np.concatenate(lats)
+        return csr, lats
 
     # ------------------------------------------------------------------
     # Mode 2: cached candidates, exact per-step refine
@@ -489,6 +641,7 @@ class VisibilityIndex:
         cand_sats = sats[order]
         cand_cells = cells[order]
         cell_x, cell_y, cell_z = self._cell_axes
+        cand_chord = np.take(self._chord_by_sat, cand_sats)
         self._cache = {
             "anchor_s": anchor_s,
             "half_span_s": half_span_s,
@@ -499,7 +652,7 @@ class VisibilityIndex:
             "cell_x": np.take(cell_x, cand_cells),
             "cell_y": np.take(cell_y, cand_cells),
             "cell_z": np.take(cell_z, cand_cells),
-            "chord2": np.take(self._chord2_by_sat, cand_sats),
+            "chord2": cand_chord * cand_chord,
         }
 
     def _window_covers(self, time_s: float, window_steps: int, hint_s: float) -> bool:
@@ -517,27 +670,12 @@ class VisibilityIndex:
         if rebuilt:
             self._rebuild_window(time_s, window_steps, hint_s)
         cache = self._cache
-        # Per-axis satellite positions at this step (small arrays; the
-        # per-candidate gathers below are the hot part).
-        sat_x = np.empty(self.n_satellites, dtype=np.float64)
-        sat_y = np.empty(self.n_satellites, dtype=np.float64)
-        sat_z = np.empty(self.n_satellites, dtype=np.float64)
-        eligible_all: Optional[np.ndarray] = (
-            np.empty(self.n_satellites, dtype=bool)
-            if self._gateway_tree is not None
-            else None
+        sat_ecef, eligible, lats = self._satellites(time_s)
+        # Per-axis satellite positions (small arrays; the per-candidate
+        # gathers below are the hot part).
+        sat_x, sat_y, sat_z = (
+            np.ascontiguousarray(sat_ecef[:, axis]) for axis in range(3)
         )
-        lats: List[np.ndarray] = []
-        for shell_index, shell in enumerate(self._shells):
-            ecef = self.satellite_ecef(shell_index, time_s)
-            lat, _, _ = ecef_to_latlon(ecef)
-            lats.append(lat)
-            span = slice(shell.offset, shell.offset + shell.total)
-            sat_x[span] = ecef[:, 0]
-            sat_y[span] = ecef[:, 1]
-            sat_z[span] = ecef[:, 2]
-            if eligible_all is not None:
-                eligible_all[span] = self.gateway_eligibility(shell_index, ecef)
         cand_sats = cache["sats"]
         # Exact chord test over the candidates, accumulated per axis in
         # the same order cKDTree's squared-distance predicate uses, so a
@@ -549,8 +687,8 @@ class VisibilityIndex:
         delta = cache["cell_z"] - np.take(sat_z, cand_sats)
         dist2 += delta * delta
         mask = dist2 <= cache["chord2"]
-        if eligible_all is not None:
-            mask &= np.take(eligible_all, cand_sats)
+        if eligible is not None:
+            mask &= np.take(eligible, cand_sats)
         # Compress candidates -> CSR: prefix-sum the survivors and read
         # the cell boundaries off the cached candidate indptr.
         survivors = np.zeros(mask.size + 1, dtype=np.int64)
@@ -569,4 +707,4 @@ class VisibilityIndex:
             "kept": csr.nnz,
             "refine_ratio": csr.nnz / mask.size if mask.size else 1.0,
         }
-        return csr, np.concatenate(lats)
+        return csr, lats

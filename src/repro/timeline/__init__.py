@@ -10,8 +10,8 @@ package turns the step engine into a *timeline* workload:
   serving-satellite changes, calibrated to the ~15 s reconnection
   pattern measured in "A Multifaceted Look at Starlink Performance"
   and emulated by LEONetEM;
-* :func:`run_timeline` — drives sub-minute steps through the
-  cached-candidate windowed visibility index and accumulates per-cell
+* :func:`run_timeline` — drives sub-minute steps through the fast
+  engine's exact tiled visibility kernel and accumulates per-cell
   capacity/QoE timelines: coverage and served-location fractions per
   step, unserved-hours-per-day, and reconnection-outage minutes.
 

@@ -1,9 +1,9 @@
 """The timeline workload: diurnal demand + churn over the step engine.
 
 :func:`run_timeline` drives a :class:`ConstellationSimulation` with
-sub-minute steps (through the cached-candidate windowed visibility
-index — ``window="auto"`` sizes candidate windows from the clock's
-step), applying per-county diurnal multipliers to the provisioned
+sub-minute steps (through the fast engine's visibility index, which
+runs its exact tiled kernel every step unless an integer
+``visibility_window`` asks for cached candidates), applying per-county diurnal multipliers to the provisioned
 demand each step and charging handover-churn outage windows against
 the allocated capacity. It accumulates per-cell QoE timelines the
 static pipeline cannot express: unserved-hours-per-day and
@@ -211,7 +211,7 @@ def run_timeline(
     phase_lon = _phase_longitudes(dataset)
     total_locations = float(counts.sum())
 
-    cell_count = len(dataset.cells)
+    cell_count = simulation.cell_count
     metrics = CoverageMetrics(cell_count=cell_count)
     churn = ChurnState(cell_count, config.churn)
     unserved_seconds = np.zeros(cell_count)

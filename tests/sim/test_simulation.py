@@ -3,13 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.demand.dataset import DemandDataset
 from repro.errors import SimulationError
 from repro.orbits.shells import GEN1_SHELLS
-from repro.sim.assignment import ProportionalFair
+from repro.sim.assignment import GreedyDemandFirst, ProportionalFair
 from repro.sim.engine import SimulationClock
 from repro.sim.simulation import ConstellationSimulation
+from repro.units import EARTH_RADIUS_KM
 
 from tests.conftest import build_toy_dataset
+
+
+class OverAssigning(GreedyDemandFirst):
+    """Greedy, then one more beam on satellite 0 than it has."""
+
+    def assign_csr(self, visible, demands_mbps, plan):
+        outcome = super().assign_csr(visible, demands_mbps, plan)
+        outcome.beams_used[0] = plan.beams_per_satellite + 1
+        return outcome
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +112,34 @@ class TestStepEngine:
             return sim.report(metrics)
 
         assert run(3) == run(1)
+
+    def test_columnar_dataset_stays_unmaterialized(self, regional_dataset):
+        columnar = DemandDataset.from_columns(
+            regional_dataset.to_columns(),
+            regional_dataset.counties,
+            regional_dataset.grid_resolution,
+        )
+        sim = ConstellationSimulation(GEN1_SHELLS[:1], columnar)
+        sim.step(0.0)
+        assert columnar._cells is None  # no ServiceCell was built
+        assert sim.cell_count == len(regional_dataset.cells)
+        # The ECEF centers are bit-identical to the per-cell-object path.
+        lat = np.radians(regional_dataset.latitudes())
+        lon = np.radians(
+            np.array([c.center.lon_deg for c in regional_dataset.cells])
+        )
+        expected = EARTH_RADIUS_KM * np.stack(
+            [np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)],
+            axis=-1,
+        )
+        np.testing.assert_array_equal(sim._cell_ecef, expected)
+
+    def test_step_rejects_oversubscribed_beams(self, regional_dataset):
+        sim = ConstellationSimulation(
+            GEN1_SHELLS[:1], regional_dataset, strategy=OverAssigning()
+        )
+        with pytest.raises(SimulationError, match="oversubscribed"):
+            sim.step(0.0)
 
     def test_bad_window_rejected_at_index_build(self, regional_dataset):
         sim = ConstellationSimulation(

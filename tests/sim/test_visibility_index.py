@@ -1,7 +1,7 @@
 """Differential tests for the fast visibility path.
 
-The precomputed :class:`VisibilityIndex` (one KD-tree over the static
-cells, satellites propagated by rotating cached epoch geometry) must
+The precomputed :class:`VisibilityIndex` (static cells tiled once,
+satellites propagated by rotating cached epoch geometry) must
 produce exactly the same per-cell visibility relation as the original
 per-step KD-tree rebuild (:meth:`ConstellationSimulation._visibility`),
 at any time, with or without the bent-pipe gateway mask.
@@ -9,9 +9,10 @@ at any time, with or without the bent-pipe gateway mask.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
-from repro.errors import SimulationError
+from repro.errors import DatasetError, SimulationError
 from repro.orbits.gateways import DEFAULT_CONUS_GATEWAYS
 from repro.orbits.shells import GEN1_SHELLS, Shell
 from repro.orbits.walker import WalkerDelta
@@ -19,6 +20,8 @@ from repro.sim.simulation import ConstellationSimulation
 from repro.sim.visibility_index import (
     CSRVisibility,
     VisibilityIndex,
+    _CellTiles,
+    _tile_order,
     group_pairs,
 )
 
@@ -330,20 +333,17 @@ class TestWindowedVisibility:
             regional_sim, times, window=4, step_hint_s=30.0
         )
 
-    def test_auto_mode_caches_at_fine_steps(self, regional_sim):
-        cached, exact = _paired_indexes(regional_sim, "auto", 1.0)
+    def test_auto_mode_is_exact_at_fine_steps(self, regional_sim):
+        # The tiled exact kernel beats every window length at 1-30 s
+        # steps, so "auto" no longer caches even at 1 s.
+        auto, exact = _paired_indexes(regional_sim, "auto", 1.0)
         for time_s in (0.0, 1.0, 2.0, 3.0):
-            cached_csr, _ = cached.query(time_s)
+            auto_csr, _ = auto.query(time_s)
             exact_csr, _ = exact.query(time_s)
-            np.testing.assert_array_equal(
-                cached_csr.indptr, exact_csr.indptr
-            )
-            np.testing.assert_array_equal(
-                cached_csr.indices, exact_csr.indices
-            )
-        stats = cached.last_query_stats
-        assert stats["mode"] == "cached"
-        assert stats["window_steps"] > 1
+            np.testing.assert_array_equal(auto_csr.indptr, exact_csr.indptr)
+            np.testing.assert_array_equal(auto_csr.indices, exact_csr.indices)
+            assert auto.last_query_stats["mode"] == "rebuild"
+            assert auto.last_query_stats["window_steps"] == 1
 
     def test_auto_mode_rebuilds_at_coarse_steps(self, regional_sim):
         cached, _ = _paired_indexes(regional_sim, "auto", 60.0)
@@ -412,3 +412,299 @@ class TestWindowedVisibility:
         assert_windowed_matches_rebuild(
             sim, times, window=window, step_hint_s=step_s
         )
+
+
+@st.composite
+def walker_shells(draw):
+    """1-3 small Walker shells at distinct altitudes (distinct chords)."""
+    altitudes = draw(
+        st.lists(
+            st.floats(min_value=400.0, max_value=1300.0),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda altitude: round(altitude),
+        )
+    )
+    shells = []
+    for index, altitude_km in enumerate(altitudes):
+        planes = draw(st.integers(min_value=2, max_value=8))
+        sats_per_plane = draw(st.integers(min_value=2, max_value=10))
+        shells.append(
+            Shell(
+                name=f"hypothesis-{index}",
+                satellite_count=planes * sats_per_plane,
+                altitude_km=altitude_km,
+                inclination_deg=draw(st.floats(min_value=30.0, max_value=98.0)),
+                planes=planes,
+                sats_per_plane=sats_per_plane,
+            )
+        )
+    return shells
+
+
+#: A bounding box over the open Pacific: no cells.
+EMPTY_BBOX = (0.0, 1.0, -150.0, -149.0)
+
+
+@st.composite
+def regions(draw):
+    """A CONUS bounding box (usually several tiles), one cell, or none."""
+    kind = draw(st.sampled_from(["empty", "cell", "bbox", "bbox", "bbox"]))
+    if kind == "empty":
+        return kind, EMPTY_BBOX
+    if kind == "cell":
+        return kind, draw(st.integers(min_value=0, max_value=10**6))
+    lat_min = draw(st.floats(min_value=27.0, max_value=44.0))
+    lon_min = draw(st.floats(min_value=-122.0, max_value=-75.0))
+    return (
+        kind,
+        (
+            lat_min,
+            lat_min + draw(st.floats(min_value=2.0, max_value=8.0)),
+            lon_min,
+            lon_min + draw(st.floats(min_value=3.0, max_value=12.0)),
+        ),
+    )
+
+
+def oracle_lists(cells, sat_ecef, chord_km):
+    """Per-cell visible satellites from one cKDTree ball query per satellite."""
+    visible = [[] for _ in range(len(cells))]
+    if len(cells):
+        tree = cKDTree(cells)
+        for sat, (position, chord) in enumerate(zip(sat_ecef, chord_km)):
+            for cell in tree.query_ball_point(position, r=chord):
+                visible[cell].append(sat)
+    return visible
+
+
+def assert_tiles_match_oracle(tiles, cells, sat_ecef, chord_km):
+    """The tiled kernel == the cKDTree oracle, cell for cell."""
+    chord_km = np.asarray(chord_km, dtype=float)
+    indptr, indices, evaluated, kept = tiles.visible(
+        sat_ecef, np.arange(len(sat_ecef), dtype=np.int64), chord_km
+    )
+    csr = CSRVisibility(indptr=indptr, indices=indices, n_satellites=len(sat_ecef))
+    expected = oracle_lists(cells, sat_ecef, chord_km)
+    assert csr.n_cells == len(expected)
+    for cell, sats in enumerate(expected):
+        np.testing.assert_array_equal(csr.cell(cell), sats)
+    assert 0 <= kept <= evaluated
+    return csr, evaluated
+
+
+def _grid_cells(rows=12, cols=12, spacing_deg=0.25):
+    """A lat/lon grid of surface points over Kentucky, in ECEF km."""
+    lat = np.radians(37.0 + spacing_deg * np.arange(rows))
+    lon = np.radians(-85.0 + spacing_deg * np.arange(cols))
+    lat, lon = np.meshgrid(lat, lon, indexing="ij")
+    radius = 6371.0
+    return radius * np.stack(
+        [
+            (np.cos(lat) * np.cos(lon)).ravel(),
+            (np.cos(lat) * np.sin(lon)).ravel(),
+            np.sin(lat).ravel(),
+        ],
+        axis=-1,
+    )
+
+
+def _offset_points(origin, distances_km, rng):
+    """Points at exact-ish distances from ``origin`` in random directions."""
+    directions = rng.normal(size=(len(distances_km), 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return origin + directions * np.asarray(distances_km)[:, None]
+
+
+class TestTiledKernel:
+    """The tiled exact kernel == the reference engine, bit for bit."""
+
+    @given(
+        shells=walker_shells(),
+        region=regions(),
+        gateway_ids=st.one_of(
+            st.none(),
+            st.lists(
+                st.integers(min_value=0, max_value=len(DEFAULT_CONUS_GATEWAYS) - 1),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            ),
+        ),
+        times_s=st.lists(
+            st.floats(min_value=0.0, max_value=2 * 86400.0), min_size=1, max_size=3
+        ),
+    )
+    @example(
+        shells=list(GEN1_SHELLS[:2]),
+        region=("cell", 0),
+        gateway_ids=None,
+        times_s=[0.0],
+    )
+    @example(
+        shells=list(GEN1_SHELLS[:1]),
+        region=("empty", EMPTY_BBOX),
+        gateway_ids=[0],
+        times_s=[60.0],
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_shells_regions_gateways_match_reference(
+        self, national_dataset, shells, region, gateway_ids, times_s
+    ):
+        gateways = (
+            None
+            if gateway_ids is None
+            else [DEFAULT_CONUS_GATEWAYS[i] for i in gateway_ids]
+        )
+        kind, value = region
+        if kind == "cell":
+            lats = national_dataset.latitudes()
+            lons = national_dataset.longitudes()
+            cell = value % lats.size
+            value = (lats[cell], lats[cell], lons[cell], lons[cell])
+        try:
+            dataset = national_dataset.subset_bbox(*value)
+        except DatasetError:
+            dataset = None  # empty region: no dataset, index only
+        if kind == "cell":
+            assert len(dataset.cells) == 1
+        cells = 0 if dataset is None else dataset.counts().size
+        event(f"tiles: {-(-cells // 256)}" if cells > 1 else f"cells: {cells}")
+        if dataset is not None:
+            sim = ConstellationSimulation(
+                shells, dataset, gateways=gateways, visibility_window=1
+            )
+            for time_s in times_s:
+                assert_matches_reference(sim, time_s)
+                assert sim.visibility_index.last_query_stats["mode"] == "rebuild"
+            return
+        probe = ConstellationSimulation(
+            shells,
+            national_dataset.subset_bbox(37.0, 38.5, -83.5, -81.0),
+            gateways=gateways,
+        )
+        index = VisibilityIndex(
+            probe.walkers,
+            np.empty((0, 3)),
+            probe._chord_radii,
+            gateway_ecef=probe._gateway_ecef if gateways else None,
+            gateway_radii_km=probe._gateway_radii if gateways else None,
+        )
+        for time_s in times_s:
+            csr, lats = index.query(time_s)
+            assert csr.n_cells == 0 and csr.nnz == 0
+            np.testing.assert_array_equal(csr.indptr, [0])
+            np.testing.assert_allclose(
+                lats, probe._visibility(time_s)[1], atol=1e-9
+            )
+
+    def test_tile_order_is_a_compact_partition(self):
+        cells = _grid_cells(rows=17, cols=13)
+        order, bounds = _tile_order(cells, 10)
+        np.testing.assert_array_equal(np.sort(order), np.arange(len(cells)))
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == len(cells)
+        assert sizes.min() >= 1 and sizes.max() <= 10
+        assert len(sizes) == -(-len(cells) // 10)  # no needless tiles
+        tiles = _CellTiles(cells, tile_cells=10)
+        for tile, (lo, hi) in enumerate(tiles.spans):
+            members = cells[order[lo:hi]]
+            reach = np.linalg.norm(members - tiles.centers[tile], axis=1)
+            assert reach.max() <= tiles.radii[tile]
+
+    def test_cell_exactly_at_chord_radius_is_visible(self):
+        # Find a (cell, satellite) pair whose squared distance is exactly
+        # the square of some float chord: the `<=` boundary itself.
+        cells = _grid_cells()
+        sat = cells.mean(axis=0) * (6921.0 / 6371.0)
+        tiles = _CellTiles(cells, tile_cells=16)
+        for cell in range(len(cells)):
+            delta = cells[cell] - sat
+            dist2 = delta[0] * delta[0]
+            dist2 += delta[1] * delta[1]
+            dist2 += delta[2] * delta[2]
+            chord = np.sqrt(dist2)
+            nearby = (chord, np.nextafter(chord, 0), np.nextafter(chord, np.inf))
+            for candidate in nearby:
+                if candidate * candidate == dist2:
+                    break
+            else:
+                continue
+            csr, evaluated = assert_tiles_match_oracle(
+                tiles, cells, sat[None, :], [candidate]
+            )
+            assert 0 in csr.cell(cell)
+            assert evaluated > 0
+            below = np.nextafter(candidate, 0)
+            assert below * below < dist2
+            csr, _ = assert_tiles_match_oracle(tiles, cells, sat[None, :], [below])
+            assert 0 not in csr.cell(cell)
+            return
+        pytest.fail("no cell landed exactly on a representable chord")
+
+    def test_satellites_on_tile_cull_edges(self):
+        # Satellites at `tile_radius + chord` and `chord - tile_radius`
+        # from each tile's center (the two cull thresholds, decided by
+        # the cells on the tile's bounding sphere), and one metre either
+        # side.
+        cells = _grid_cells()
+        tiles = _CellTiles(cells, tile_cells=9)
+        chord = 150.0
+        rng = np.random.default_rng(7)
+        sats = []
+        for center, radius in zip(tiles.centers, tiles.radii):
+            for distance in (radius + chord, chord - radius):
+                for nudge in (-1e-3, 0.0, 1e-3):
+                    sats.append(_offset_points(center, [distance + nudge], rng)[0])
+        # Along the ray through each tile's farthest cell, one chord out
+        # and one chord in: that edge cell sits on the boundary.
+        for tile, (lo, hi) in enumerate(tiles.spans):
+            members = cells[tiles.order[lo:hi]]
+            reach = np.linalg.norm(members - tiles.centers[tile], axis=1)
+            far = members[np.argmax(reach)]
+            direction = (far - tiles.centers[tile]) / tiles.radii[tile]
+            sats.append(far + direction * chord)
+            sats.append(far - direction * chord)
+        sats = np.array(sats)
+        chords = np.full(len(sats), chord)
+        assert_tiles_match_oracle(tiles, cells, sats, chords)
+        # Per-satellite chords: alternate two shells' radii.
+        chords[::2] = 149.0
+        assert_tiles_match_oracle(tiles, cells, sats, chords)
+
+    def test_footprint_covering_whole_tiles_takes_the_shortcut(self):
+        cells = _grid_cells()
+        tiles = _CellTiles(cells, tile_cells=16)
+        sat = cells.mean(axis=0) * (6921.0 / 6371.0)
+        csr, evaluated = assert_tiles_match_oracle(
+            tiles, cells, sat[None, :], [5000.0]
+        )
+        assert evaluated == 0  # every tile covered whole, nothing tested
+        assert csr.nnz == len(cells)
+
+    def test_footprint_grazing_a_tile(self):
+        cells = _grid_cells()
+        tiles = _CellTiles(cells, tile_cells=16)
+        chord = 300.0
+        rng = np.random.default_rng(11)
+        for tile in range(len(tiles.spans)):
+            sat = _offset_points(
+                tiles.centers[tile], [tiles.radii[tile] + chord - 5.0], rng
+            )
+            csr, evaluated = assert_tiles_match_oracle(tiles, cells, sat, [chord])
+            lo, hi = tiles.spans[tile]
+            assert evaluated >= hi - lo  # the grazed tile was tested
+            assert csr.nnz < len(cells)
+
+    def test_empty_inputs(self):
+        tiles = _CellTiles(np.empty((0, 3)))
+        indptr, indices, evaluated, kept = tiles.visible(
+            np.empty((0, 3)), np.empty(0, dtype=np.int64), np.empty(0)
+        )
+        np.testing.assert_array_equal(indptr, [0])
+        assert indices.size == evaluated == kept == 0
+        cells = _grid_cells(rows=2, cols=2)
+        csr, evaluated = assert_tiles_match_oracle(
+            _CellTiles(cells), cells, np.empty((0, 3)), []
+        )
+        assert csr.nnz == evaluated == 0

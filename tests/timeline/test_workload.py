@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.orbits.shells import GEN1_SHELLS
+from repro.sim.assignment import GreedyDemandFirst
 from repro.sim.engine import SimulationClock
 from repro.sim.simulation import ConstellationSimulation
 from repro.timeline import (
@@ -16,6 +17,7 @@ from repro.timeline import (
     write_timeline_jsonl,
 )
 
+from repro.timeline import workload
 from tests.conftest import build_toy_dataset
 
 SHELLS = list(GEN1_SHELLS[:1])
@@ -191,6 +193,31 @@ class TestChurnAccounting:
             ),
         )
         assert np.all(result.effective_mbps <= result.allocated_mbps + 1e-9)
+
+
+class TestStepChecks:
+    def test_oversubscribed_beams_raise_in_the_timeline_loop(
+        self, dataset, monkeypatch
+    ):
+        # run_timeline steps the simulation itself rather than through
+        # ConstellationSimulation.run, and must still refuse a strategy
+        # that spends more beams than a satellite has.
+        class OverAssigning(GreedyDemandFirst):
+            def assign_csr(self, visible, demands_mbps, plan):
+                outcome = super().assign_csr(visible, demands_mbps, plan)
+                outcome.beams_used[0] = plan.beams_per_satellite + 1
+                return outcome
+
+        monkeypatch.setitem(workload._STRATEGIES, "over", OverAssigning)
+        # No identity re-run: that static run() would catch it instead.
+        config = TimelineConfig(
+            duration_s=60.0,
+            step_s=15.0,
+            strategy="over",
+            verify_identity=False,
+        )
+        with pytest.raises(SimulationError, match="oversubscribed"):
+            run_timeline(dataset, SHELLS, config)
 
 
 class TestJsonl:
