@@ -382,7 +382,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         region,
         oversubscription=args.oversubscription,
         strategy=strategies[args.strategy](),
-        visibility_window=_parse_visibility_window(args.visibility_window),
     )
     clock = SimulationClock(duration_s=args.duration, step_s=args.step)
     _log.info("%s", region.summary())
@@ -422,7 +421,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         ),
         oversubscription=args.oversubscription,
         strategy=args.strategy,
-        visibility_window=_parse_visibility_window(args.visibility_window),
     )
     _log.info("%s", region.summary())
     profiler = _start_profiler(args)
@@ -470,18 +468,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_visibility_window(text: str):
-    """--visibility-window value: "auto" or a step count."""
-    if text == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise SystemExit(
-            f"--visibility-window must be 'auto' or an integer: {text!r}"
-        )
-
-
 def _bench_repeat(args: argparse.Namespace) -> int:
     """--repeat, defaulting to min-of-3 for quick (CI) configurations."""
     if args.repeat is not None:
@@ -504,7 +490,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             steps=args.steps,
             repeat=_bench_repeat(args),
             dataset=model.dataset,
-            visibility_window=_parse_visibility_window(args.visibility_window),
         )
     finally:
         profile_digest = _finish_profiler(args, profiler)
@@ -990,16 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument(
         "--shells", choices=("gen1-53", "current"), default="gen1-53"
     )
-    sim_parser.add_argument(
-        "--visibility-window",
-        default="auto",
-        help=(
-            "visibility mode: 'auto' (default) and 1 run the exact "
-            "tiled kernel every step; an integer K > 1 reuses one "
-            "cached candidate query for K steps (same relation, "
-            "slower at every measured step size)"
-        ),
-    )
     _add_profile_args(sim_parser)
     sim_parser.set_defaults(func=_cmd_simulate)
 
@@ -1057,15 +1032,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="outage charged per planned handover (default: 1)",
     )
-    timeline_parser.add_argument(
-        "--visibility-window",
-        default="auto",
-        help=(
-            "visibility mode: 'auto' (default) and 1 run the exact "
-            "tiled kernel every step; an integer K > 1 reuses one "
-            "cached candidate query for K steps (same relation)"
-        ),
-    )
     _add_profile_args(timeline_parser)
     timeline_parser.add_argument(
         "--out", default=None, help="timeline JSONL output path"
@@ -1095,15 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--out", default="BENCH_simulation.json", help="results JSON path"
-    )
-    bench_parser.add_argument(
-        "--visibility-window",
-        default="auto",
-        help=(
-            "visibility mode of the benched fast engine: 'auto' and 1 "
-            "run the exact tiled kernel; an integer K > 1 caches "
-            "candidates for K steps"
-        ),
     )
     _add_profile_args(bench_parser)
     bench_parser.set_defaults(func=_cmd_bench)

@@ -61,10 +61,7 @@ GATED_RATIOS: Dict[str, Tuple[str, ...]] = {
 #: hover near 1x (the fast path barely wins), so tolerance-sized
 #: swings are IO/timing noise, not regressions worth failing CI over.
 INFO_RATIOS: Dict[str, Tuple[str, ...]] = {
-    # The windowed-visibility ratio depends on how the step size ranks
-    # refine cost against rebuild cost on the host, so it is reported,
-    # not gated (its *identity* flag is gated below).
-    "repro-bench-simulation/1": ("visibility.windowed.speedup",),
+    "repro-bench-simulation/1": (),
     "repro-bench-locations/1": ("csv_write.speedup",),
     "repro-bench-sweep/1": (),
 }
@@ -94,9 +91,6 @@ RATIO_SATURATION: Dict[str, float] = {
 GATED_IDENTITIES: Dict[str, Tuple[str, ...]] = {
     "repro-bench-simulation/1": (
         "all_reports_identical",
-        # The cached-candidate window engine must stay bit-identical to
-        # the per-step rebuild.
-        "visibility.windowed.identical",
         # A flat-profile timeline must reproduce the static pipeline's
         # report byte-identically.
         "timeline.flat_identical",

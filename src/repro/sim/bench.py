@@ -14,9 +14,6 @@ the calibrated national dataset, the paper's headline configuration):
   engine, summed from the ``sim.*`` :mod:`repro.obs` spans of
   instrumented runs, so a regression report names the phase that
   slowed down instead of one end-to-end number,
-* **windowed visibility** — the cached-candidate window engine vs the
-  per-step rebuild at a sub-minute step (where windows are designed to
-  win), with a bit-identity flag over every step,
 * **timeline** — the :mod:`repro.timeline` workload at a sub-minute
   step (per-step budget for the diurnal/churn regime), with the
   flat-profile static-identity flag.
@@ -45,7 +42,6 @@ from repro.sim.slow_reference import (
     ReferenceGreedyDemandFirst,
     ReferenceProportionalFair,
 )
-from repro.sim.visibility_index import VisibilityIndex
 
 #: strategy id -> (fast class, reference class)
 BENCH_STRATEGIES = {
@@ -166,7 +162,6 @@ def bench_end_to_end(
     strategy_id: str,
     clock: SimulationClock,
     repeat: int = 1,
-    visibility_window="auto",
 ) -> Tuple[BenchTimings, bool]:
     """Time full runs on both engines; also report whether the two
     :class:`SimulationReport` results are identical."""
@@ -179,7 +174,6 @@ def bench_end_to_end(
             dataset,
             strategy=strategy,
             engine=engine,
-            visibility_window=visibility_window,
         )
 
     reports = {}
@@ -257,72 +251,6 @@ def bench_step_phases(
     finally:
         obs.configure(enabled=was_enabled)
     return results
-
-
-def bench_windowed_visibility(
-    simulation: ConstellationSimulation,
-    steps: int = 8,
-    step_s: float = 15.0,
-    window: int = 4,
-    repeat: int = 1,
-) -> Dict:
-    """Cached-candidate windows vs per-step rebuilds at a small step.
-
-    Windows only pay off when the per-step satellite displacement is
-    small against the chord radius (sub-minute steps — the handover/
-    diurnal regime), so this is measured at ``step_s`` and reported
-    alongside a bit-identity flag across every step; the identity is
-    gated, the speedup is informational.
-    """
-    import numpy as np
-
-    def build(window_setting) -> VisibilityIndex:
-        return VisibilityIndex(
-            simulation.walkers,
-            simulation._cell_ecef,
-            simulation._chord_radii,
-            window=window_setting,
-            step_hint_s=step_s,
-        )
-
-    times_s = [index * step_s for index in range(steps)]
-    cached_index = build(window)
-    rebuild_index = build(1)
-    identical = True
-    candidates = 0
-    kept = 0
-    for time_s in times_s:
-        cached_csr, cached_lats = cached_index.query(time_s)
-        rebuild_csr, rebuild_lats = rebuild_index.query(time_s)
-        identical = identical and (
-            np.array_equal(cached_csr.indptr, rebuild_csr.indptr)
-            and np.array_equal(cached_csr.indices, rebuild_csr.indices)
-            and np.array_equal(cached_lats, rebuild_lats)
-        )
-        candidates += int(cached_index.last_query_stats["candidates"])
-        kept += int(cached_index.last_query_stats["kept"])
-
-    def cached_run() -> None:
-        cached_index.configure_window()  # drop the window: full cycle
-        for time_s in times_s:
-            cached_index.query(time_s)
-
-    def rebuild_run() -> None:
-        for time_s in times_s:
-            rebuild_index.query(time_s)
-
-    timings = BenchTimings.measure(repeat, cached_run, rebuild_run)
-    return {
-        "window": window,
-        "step_s": step_s,
-        "steps": steps,
-        "cached_s": timings.fast_s,
-        "rebuild_s": timings.reference_s,
-        "speedup": timings.speedup,
-        "identical": identical,
-        "candidates": candidates,
-        "refine_ratio": kept / candidates if candidates else 1.0,
-    }
 
 
 def bench_timeline(
@@ -440,7 +368,6 @@ def run_simulation_bench(
     step_s: float = 60.0,
     repeat: int = 1,
     dataset=None,
-    visibility_window="auto",
 ) -> Dict:
     """Run the full benchmark suite; returns the JSON-ready results dict.
 
@@ -464,9 +391,7 @@ def run_simulation_bench(
     clock = SimulationClock(duration_s=step_count * step_s, step_s=step_s)
     times = list(clock.times())
 
-    probe = ConstellationSimulation(
-        shells, dataset, engine="fast", visibility_window=visibility_window
-    )
+    probe = ConstellationSimulation(shells, dataset, engine="fast")
     with obs.span("bench.index_build"):
         build_start = time.perf_counter()
         probe.visibility_index  # force the one-time index build
@@ -479,8 +404,6 @@ def run_simulation_bench(
             strategy_id: bench_assignment(probe, strategy_id, repeat=repeat)
             for strategy_id in BENCH_STRATEGIES
         }
-    with obs.span("bench.windowed_visibility"):
-        windowed = bench_windowed_visibility(probe, repeat=repeat)
     end_to_end = {}
     reports_identical = {}
     with obs.span("bench.end_to_end"):
@@ -491,7 +414,6 @@ def run_simulation_bench(
                 strategy_id,
                 clock,
                 repeat=repeat,
-                visibility_window=visibility_window,
             )
             end_to_end[strategy_id] = timings
             reports_identical[strategy_id] = identical
@@ -524,7 +446,6 @@ def run_simulation_bench(
             "steps": step_count,
             "step_s": step_s,
             "repeat": repeat,
-            "visibility_window": visibility_window,
             "strategies": sorted(BENCH_STRATEGIES),
         },
         "environment": {
@@ -537,7 +458,6 @@ def run_simulation_bench(
             "index_build_s": index_build_s,
             "steps_per_s_fast": step_count / visibility.fast_s,
             "steps_per_s_reference": step_count / visibility.reference_s,
-            "windowed": windowed,
         },
         "assignment": {
             strategy_id: timings.as_dict()
@@ -556,9 +476,7 @@ def run_simulation_bench(
         "timeline": timeline,
         "headline_speedup": end_to_end["greedy"].speedup,
         "all_reports_identical": (
-            all(reports_identical.values())
-            and windowed["identical"]
-            and timeline["flat_identical"]
+            all(reports_identical.values()) and timeline["flat_identical"]
         ),
     }
 
@@ -589,13 +507,6 @@ def format_bench_summary(results: Dict) -> str:
         lines.append(
             "  assignment[{id}]: {fast_s:.3f}s fast vs {reference_s:.3f}s "
             "reference ({speedup:.1f}x)".format(id=strategy_id, **timings)
-        )
-    windowed = results.get("visibility", {}).get("windowed")
-    if windowed:
-        lines.append(
-            "  visibility[window={window} @ {step_s:.0f}s]: {cached_s:.3f}s "
-            "cached vs {rebuild_s:.3f}s rebuild ({speedup:.1f}x, identical: "
-            "{identical})".format(**windowed)
         )
     timeline = results.get("timeline")
     if timeline:

@@ -28,7 +28,7 @@ unless impairments ask for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -73,7 +73,6 @@ class ConstellationSimulation:
         impairments: Optional[Sequence["Impairment"]] = None,
         impairment_seed: int = 0,
         engine: str = "fast",
-        visibility_window: Union[int, str] = "auto",
     ):
         """Set up the simulation.
 
@@ -88,12 +87,6 @@ class ConstellationSimulation:
         ``engine`` selects the visibility machinery: ``"fast"`` (the
         vectorized :class:`VisibilityIndex` path) or ``"reference"``
         (the original per-step KD-tree rebuild).
-
-        ``visibility_window`` is forwarded to the fast path's
-        :class:`VisibilityIndex`: ``"auto"`` (default) and ``1`` run the
-        exact tiled kernel every step, an int ``K > 1`` reuses one
-        cached candidate query for K steps. All modes produce
-        bit-identical relations.
         """
         if not shells:
             raise SimulationError("simulation needs at least one shell")
@@ -138,7 +131,6 @@ class ConstellationSimulation:
         # them here would force every lazy columnar cell, so the
         # _cell_positions property builds the list on first use.
         self._cell_positions_cache: Optional[list] = None
-        self.visibility_window = visibility_window
         self.gateways = list(gateways) if gateways else []
         if self.gateways:
             gw_lat = np.radians(
@@ -176,7 +168,6 @@ class ConstellationSimulation:
                 self._chord_radii,
                 gateway_ecef=self._gateway_ecef if self.gateways else None,
                 gateway_radii_km=self._gateway_radii if self.gateways else None,
-                window=self.visibility_window,
             )
         return self._index
 
@@ -263,10 +254,6 @@ class ConstellationSimulation:
         nnz = registry.counter("sim.csr.nnz")
         covered_cells = registry.counter("sim.covered.cells")
         allocated_total = registry.counter("sim.allocated.total_mbps")
-        if self.engine == "fast":
-            # Give the index the clock's step so an integer window can
-            # size its candidate inflation before two queries land.
-            self.visibility_index.configure_window(step_hint_s=clock.step_s)
         with obs.span(
             "sim.run",
             engine=self.engine,
@@ -305,8 +292,8 @@ class ConstellationSimulation:
 
         Raises :class:`SimulationError` when the strategy spends more
         beams on a satellite than it has, so every loop that steps the
-        simulation (:meth:`run`, :func:`repro.timeline.run_timeline`)
-        gets the check.
+        simulation (:meth:`run`, :func:`repro.timeline.run_timeline`,
+        :func:`repro.sim.trace.record_trace`) gets the check.
         """
         if demands_mbps is not None and demands_mbps.shape[0] != self.cell_count:
             raise SimulationError("demand override misaligned with cells")
@@ -324,25 +311,16 @@ class ConstellationSimulation:
     ):
         """One step on the CSR fast path."""
         with obs.span("sim.step", engine="fast", time_s=time_s):
-            with obs.span("sim.visibility") as vis_span:
+            with obs.span("sim.visibility"):
                 csr, sat_lats = self.visibility_index.query(time_s)
                 stats = self.visibility_index.last_query_stats
-                if stats:
-                    # sim.visibility.mode / .window_steps span attributes
-                    # plus the candidate-reuse counters.
-                    vis_span.set(
-                        mode=stats["mode"],
-                        window_steps=stats["window_steps"],
-                    )
-                    registry = obs.registry()
-                    registry.counter("sim.visibility.candidates").inc(
-                        stats["candidates"]
-                    )
-                    if stats["window_rebuilt"]:
-                        registry.counter("sim.visibility.window_rebuilds").inc()
-                    registry.gauge("sim.visibility.refine_ratio").set(
-                        stats["refine_ratio"]
-                    )
+                registry = obs.registry()
+                registry.counter("sim.visibility.candidates").inc(
+                    stats["candidates"]
+                )
+                registry.gauge("sim.visibility.refine_ratio").set(
+                    stats["refine_ratio"]
+                )
             demands = (
                 demands_override
                 if demands_override is not None

@@ -12,31 +12,19 @@
   geometry (circular orbits: ``pos(t) = cos(nt) pos0 + sin(nt) tan0``,
   then one Earth-spin matrix).
 
-Two per-step modes produce bit-identical relations:
-
-* **exact** (``window=1`` and ``"auto"``; ``last_query_stats["mode"]``
-  reads ``"rebuild"``) — a tiled kernel. Satellites are culled against
-  the sphere bounding all cells, then (tile, satellite) pairs against
-  ``tile_radius + chord``; a satellite within ``chord - tile_radius`` of
-  a tile's center sees the whole tile, and every other surviving pair is
-  tested cell by cell with the squared-chord predicate cKDTree applies.
-  Each tile's boolean block is written straight into cell-order CSR
-  with satellite ids ascending: no KD-tree query, pair grouping or sort
-  runs in the step.
-* **cached** (an int ``window=K > 1``) — once per window of K steps, a
-  single *inflated* KD-tree range query (``chord + max displacement over
-  the half-window``) collects a candidate superset; each step inside the
-  window refines the cached (cell, satellite) pairs with the same exact
-  chord test and compresses the survivors into CSR. The inflation radius
-  is a strict bound on satellite motion (circular orbits at fixed
-  radius: ``|v| <= a * (n + omega_earth)``), so the candidate set
-  provably contains every true pair for every time in the window.
-
-Both modes apply exactly cKDTree's predicate (per-axis ``(cell - sat)**2``
-accumulated x, y, z, compared ``<= chord**2``), so they agree bit for bit
-with each other and with the reference engine (differentially tested).
-Measured at national scale the exact kernel beats every window length at
-1–30 s steps, so ``"auto"`` resolves to it.
+Per step, a tiled exact kernel builds the relation. Satellites are
+culled against the sphere bounding all cells, then (tile, satellite)
+pairs against ``tile_radius + chord``; a satellite within
+``chord - tile_radius`` of a tile's center sees the whole tile, and
+every other surviving pair is tested cell by cell with the predicate
+cKDTree applies (per-axis ``(cell - sat)**2`` accumulated x, y, z,
+compared ``<= chord**2``). Each tile's boolean block is written straight
+into cell-order CSR with satellite ids ascending: no KD-tree query, pair
+grouping or sort runs in the step. The relation agrees bit for bit with
+the reference engine (differentially tested). Measured at national
+scale this kernel beats a cached-candidate window at every step size
+from 1 to 30 s (PERFORMANCE.md "One visibility kernel"), so it is the
+only one.
 
 Gateway (bent-pipe) eligibility is a boolean ndarray mask from a ball
 query against a small precomputed gateway KD-tree (not a dense
@@ -48,16 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 from scipy.spatial import cKDTree
 
 from repro.errors import SimulationError
 from repro.orbits.kepler import ecef_to_latlon, gmst_rad
 from repro.orbits.walker import WalkerDelta
-from repro.units import EARTH_ROTATION_RAD_S
 
 
 @dataclass(frozen=True)
@@ -132,45 +118,6 @@ class CSRVisibility:
             indices=self.indices[mask],
             n_satellites=self.n_satellites,
         )
-
-
-def group_pairs(
-    cells: np.ndarray,
-    sats: np.ndarray,
-    n_cells: int,
-    n_satellites: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Group flat (cell, satellite) pairs into CSR in O(nnz).
-
-    Returns ``(indptr, order)`` such that ``sats[order]`` is grouped by
-    cell with satellite ids ascending inside each cell — the order the
-    per-shell KD-tree rebuild produces per cell.
-
-    This replaces ``np.argsort(cells * n_satellites + sats)``: the fused
-    key is O(nnz log nnz) and overflows int64 once
-    ``n_cells * n_satellites`` passes 2**63 (well within reach of a
-    mega-constellation over a fine grid). A counting sort needs neither:
-    scipy's compiled COO->CSR conversion is exactly a bincount
-    prefix-sum scatter over the cell ids followed by an in-row index
-    sort, so we ride it with the pair permutation as the payload.
-    """
-    nnz = int(cells.shape[0])
-    if nnz == 0:
-        return np.zeros(n_cells + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    matrix = sparse.csr_matrix(
-        # 1-based so a summed duplicate can never masquerade as a valid
-        # permutation entry if the nnz guard were ever wrong.
-        (np.arange(1, nnz + 1, dtype=np.int64), (cells, sats)),
-        shape=(n_cells, n_satellites),
-    )
-    if matrix.nnz != nnz:
-        # Duplicates are summed by the conversion, shrinking nnz; a
-        # duplicate (cell, satellite) pair means a corrupt input.
-        raise SimulationError("duplicate (cell, satellite) visibility pair")
-    matrix.sort_indices()
-    indptr = matrix.indptr.astype(np.int64)
-    order = matrix.data - 1
-    return indptr, order
 
 
 #: Cells per tile of the exact kernel. Smaller tiles cull tighter but
@@ -361,24 +308,14 @@ class _CellTiles:
 
 @dataclass(frozen=True)
 class _ShellGeometry:
-    """Per-shell cached epoch geometry and query radii."""
+    """Per-shell cached epoch geometry and gateway radius."""
 
     pos0: np.ndarray  # (total, 3) ECI positions at epoch
     tan0: np.ndarray  # (total, 3) in-plane tangents at epoch
     mean_motion_rad_s: float
-    chord_radius_km: float
     gateway_radius_km: float
     offset: int  # global id of this shell's first satellite
     total: int
-    # Strict ECEF speed bound for the inflation radius: orbital motion
-    # plus the rotating frame, |v| <= a*n + omega*a.
-    max_speed_km_s: float
-
-
-#: Slack (seconds) added to the window half-span when sizing the
-#: inflation radius, so query times that land a few float ulps past the
-#: nominal window edge are still provably covered.
-_TIME_SLOP_S = 1e-3
 
 
 class VisibilityIndex:
@@ -387,15 +324,9 @@ class VisibilityIndex:
     Build once per simulation; call :meth:`query` per step. The demand
     cells are fixed in the Earth frame, so their tiles are built a
     single time here; satellites are propagated by rotating cached epoch
-    ECI geometry.
-
-    ``window`` selects the per-step mode: ``1`` and ``"auto"`` (default)
-    run the exact tiled kernel every step; an int ``K > 1`` reuses one
-    inflated candidate query for K consecutive steps (refined exactly
-    per step), sized from ``step_hint_s`` or the spacing of the queries
-    actually observed. Every mode returns bit-identical relations;
-    ``last_query_stats`` reports which mode ran and how many (cell,
-    satellite) pairs the exact test scanned.
+    ECI geometry. ``last_query_stats`` reports how many (cell,
+    satellite) pairs the exact test scanned and how many the relation
+    kept.
     """
 
     def __init__(
@@ -405,8 +336,6 @@ class VisibilityIndex:
         chord_radii_km: Sequence[float],
         gateway_ecef: Optional[np.ndarray] = None,
         gateway_radii_km: Optional[Sequence[float]] = None,
-        window: Union[int, str] = "auto",
-        step_hint_s: Optional[float] = None,
     ):
         if len(walkers) != len(chord_radii_km):
             raise SimulationError("one chord radius per shell required")
@@ -414,18 +343,7 @@ class VisibilityIndex:
             raise SimulationError(
                 "gateway positions and radii must be given together"
             )
-        cell_ecef = np.asarray(cell_ecef, dtype=np.float64)
-        self._cell_ecef = cell_ecef
-        self._cell_tree_cache: Optional[cKDTree] = None
-        self._n_cells = cell_ecef.shape[0]
-        self._tiles = _CellTiles(cell_ecef)
-        # Contiguous per-axis cell coordinates for the cached-mode
-        # refine (fancy-gathering a strided 2-D column is pathologically
-        # slow compared to contiguous 1-D takes).
-        self._cell_axes = tuple(
-            np.ascontiguousarray(cell_ecef[:, axis]) for axis in range(3)
-        )
-        self._gateway_ecef = gateway_ecef
+        self._tiles = _CellTiles(np.asarray(cell_ecef, dtype=np.float64))
         self._gateway_tree = (
             cKDTree(gateway_ecef) if gateway_ecef is not None else None
         )
@@ -433,20 +351,16 @@ class VisibilityIndex:
         offset = 0
         for index, walker in enumerate(walkers):
             pos0, tan0 = walker.eci_state_basis()
-            radius_km = float(np.linalg.norm(pos0[0])) if len(pos0) else 0.0
             self._shells.append(
                 _ShellGeometry(
                     pos0=pos0,
                     tan0=tan0,
                     mean_motion_rad_s=walker.mean_motion_rad_s,
-                    chord_radius_km=chord_radii_km[index],
                     gateway_radius_km=(
                         gateway_radii_km[index] if gateway_radii_km else 0.0
                     ),
                     offset=offset,
                     total=walker.total,
-                    max_speed_km_s=radius_km
-                    * (walker.mean_motion_rad_s + EARTH_ROTATION_RAD_S),
                 )
             )
             offset += walker.total
@@ -456,45 +370,10 @@ class VisibilityIndex:
             np.array(chord_radii_km, dtype=np.float64),
             [shell.total for shell in self._shells],
         )
-        self._window = self._validate_window(window)
-        self._step_hint_s = (
-            float(step_hint_s) if step_hint_s and step_hint_s > 0 else None
-        )
-        self._inferred_step_s: Optional[float] = None
-        self._last_query_t: Optional[float] = None
-        self._cache: Optional[Dict[str, object]] = None
-        #: Stats of the most recent :meth:`query` (mode, candidate and
-        #: surviving pair counts, whether a window was rebuilt).
-        self.last_query_stats: Dict[str, object] = {}
-
-    @property
-    def _cell_tree(self) -> cKDTree:
-        """KD-tree over the cells, built on first use (cached windows only)."""
-        if self._cell_tree_cache is None:
-            self._cell_tree_cache = cKDTree(self._cell_ecef)
-        return self._cell_tree_cache
-
-    @staticmethod
-    def _validate_window(window: Union[int, str]) -> Union[int, str]:
-        if window == "auto":
-            return "auto"
-        if isinstance(window, bool) or not isinstance(window, int):
-            raise SimulationError(f"visibility window must be 'auto' or an int >= 1: {window!r}")
-        if window < 1:
-            raise SimulationError(f"visibility window must be >= 1: {window}")
-        return window
-
-    def configure_window(
-        self,
-        window: Optional[Union[int, str]] = None,
-        step_hint_s: Optional[float] = None,
-    ) -> None:
-        """Adjust the caching policy; any cached window is dropped."""
-        if window is not None:
-            self._window = self._validate_window(window)
-        if step_hint_s is not None:
-            self._step_hint_s = float(step_hint_s) if step_hint_s > 0 else None
-        self._cache = None
+        #: Stats of the most recent :meth:`query`: pairs the exact test
+        #: evaluated (``candidates``), pairs in the relation (``kept``),
+        #: and the fraction of evaluated pairs that passed.
+        self.last_query_stats: Dict[str, float] = {}
 
     def satellite_ecef(self, shell_index: int, time_s: float) -> np.ndarray:
         """ECEF positions (total, 3) of one shell's satellites at a time."""
@@ -527,37 +406,6 @@ class VisibilityIndex:
         )
         return hits > 0
 
-    # ------------------------------------------------------------------
-    # Query: mode selection
-
-    def query(self, time_s: float):
-        """(CSR visibility, satellite latitudes in degrees) at ``time_s``."""
-        window_steps, hint_s = self._plan_window()
-        if window_steps <= 1:
-            result = self._query_exact(time_s)
-        else:
-            result = self._query_cached(time_s, window_steps, hint_s)
-        # Observe the spacing of consecutive queries so an integer
-        # window can be sized even when no step hint was configured.
-        if self._last_query_t is not None:
-            delta = abs(time_s - self._last_query_t)
-            if delta > 0.0:
-                self._inferred_step_s = delta
-        self._last_query_t = time_s
-        return result
-
-    def _plan_window(self) -> Tuple[int, Optional[float]]:
-        hint_s = self._step_hint_s or self._inferred_step_s
-        # "auto" is the exact kernel: measured at national res 5 for 1,
-        # 5, 15 and 30 s steps, no window length beats it (PERFORMANCE.md
-        # "Windowed visibility").
-        window_steps = 1 if self._window == "auto" else int(self._window)
-        if window_steps > 1 and not hint_s:
-            # Can't size the inflation radius without a step estimate;
-            # fall back to exact steps until one is observed.
-            return 1, hint_s
-        return window_steps, hint_s
-
     def _satellites(
         self, time_s: float
     ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
@@ -579,10 +427,8 @@ class VisibilityIndex:
                 eligible[span] = self.gateway_eligibility(shell_index, ecef)
         return sat_ecef, eligible, np.concatenate(lats)
 
-    # ------------------------------------------------------------------
-    # Mode 1: exact per-step tiled kernel
-
-    def _query_exact(self, time_s: float):
+    def query(self, time_s: float) -> Tuple[CSRVisibility, np.ndarray]:
+        """(CSR visibility, satellite latitudes in degrees) at ``time_s``."""
         sat_ecef, eligible, lats = self._satellites(time_s)
         sat_ids = (
             np.flatnonzero(eligible)
@@ -598,113 +444,8 @@ class VisibilityIndex:
             indptr=indptr, indices=indices, n_satellites=self.n_satellites
         )
         self.last_query_stats = {
-            "mode": "rebuild",
-            "window_steps": 1,
-            "window_rebuilt": False,
             "candidates": evaluated,
             "kept": csr.nnz,
             "refine_ratio": passed / evaluated if evaluated else 1.0,
-        }
-        return csr, lats
-
-    # ------------------------------------------------------------------
-    # Mode 2: cached candidates, exact per-step refine
-
-    def _rebuild_window(
-        self, time_s: float, window_steps: int, hint_s: float
-    ) -> None:
-        """One inflated coarse query covering ``window_steps`` steps.
-
-        Anchored at the window midpoint so the inflation only has to
-        cover half the window span in either direction.
-        """
-        half_span_s = 0.5 * (window_steps - 1) * hint_s
-        anchor_s = time_s + half_span_s
-        pair_cells: List[np.ndarray] = []
-        pair_sats: List[np.ndarray] = []
-        for shell_index, shell in enumerate(self._shells):
-            ecef = self.satellite_ecef(shell_index, anchor_s)
-            margin_km = shell.max_speed_km_s * (half_span_s + _TIME_SLOP_S)
-            sat_tree = cKDTree(ecef)
-            pairs = sat_tree.sparse_distance_matrix(
-                self._cell_tree,
-                shell.chord_radius_km + margin_km,
-                output_type="ndarray",
-            )
-            pair_sats.append(pairs["i"].astype(np.int64) + shell.offset)
-            pair_cells.append(pairs["j"].astype(np.int64))
-        cells = np.concatenate(pair_cells)
-        sats = np.concatenate(pair_sats)
-        indptr, order = group_pairs(
-            cells, sats, self._n_cells, self.n_satellites
-        )
-        cand_sats = sats[order]
-        cand_cells = cells[order]
-        cell_x, cell_y, cell_z = self._cell_axes
-        cand_chord = np.take(self._chord_by_sat, cand_sats)
-        self._cache = {
-            "anchor_s": anchor_s,
-            "half_span_s": half_span_s,
-            "window_steps": window_steps,
-            "hint_s": hint_s,
-            "indptr": indptr,
-            "sats": cand_sats,
-            "cell_x": np.take(cell_x, cand_cells),
-            "cell_y": np.take(cell_y, cand_cells),
-            "cell_z": np.take(cell_z, cand_cells),
-            "chord2": cand_chord * cand_chord,
-        }
-
-    def _window_covers(self, time_s: float, window_steps: int, hint_s: float) -> bool:
-        cache = self._cache
-        if cache is None:
-            return False
-        if cache["window_steps"] != window_steps or cache["hint_s"] != hint_s:
-            return False
-        return abs(time_s - cache["anchor_s"]) <= (
-            cache["half_span_s"] + _TIME_SLOP_S
-        )
-
-    def _query_cached(self, time_s: float, window_steps: int, hint_s: float):
-        rebuilt = not self._window_covers(time_s, window_steps, hint_s)
-        if rebuilt:
-            self._rebuild_window(time_s, window_steps, hint_s)
-        cache = self._cache
-        sat_ecef, eligible, lats = self._satellites(time_s)
-        # Per-axis satellite positions (small arrays; the per-candidate
-        # gathers below are the hot part).
-        sat_x, sat_y, sat_z = (
-            np.ascontiguousarray(sat_ecef[:, axis]) for axis in range(3)
-        )
-        cand_sats = cache["sats"]
-        # Exact chord test over the candidates, accumulated per axis in
-        # the same order cKDTree's squared-distance predicate uses, so a
-        # surviving candidate is exactly a pair the rebuild would emit.
-        delta = cache["cell_x"] - np.take(sat_x, cand_sats)
-        dist2 = delta * delta
-        delta = cache["cell_y"] - np.take(sat_y, cand_sats)
-        dist2 += delta * delta
-        delta = cache["cell_z"] - np.take(sat_z, cand_sats)
-        dist2 += delta * delta
-        mask = dist2 <= cache["chord2"]
-        if eligible is not None:
-            mask &= np.take(eligible, cand_sats)
-        # Compress candidates -> CSR: prefix-sum the survivors and read
-        # the cell boundaries off the cached candidate indptr.
-        survivors = np.zeros(mask.size + 1, dtype=np.int64)
-        np.cumsum(mask, out=survivors[1:])
-        indptr = survivors[cache["indptr"]]
-        csr = CSRVisibility(
-            indptr=indptr,
-            indices=cand_sats[mask],
-            n_satellites=self.n_satellites,
-        )
-        self.last_query_stats = {
-            "mode": "cached",
-            "window_steps": window_steps,
-            "window_rebuilt": rebuilt,
-            "candidates": int(mask.size),
-            "kept": csr.nnz,
-            "refine_ratio": csr.nnz / mask.size if mask.size else 1.0,
         }
         return csr, lats

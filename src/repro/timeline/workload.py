@@ -1,13 +1,12 @@
 """The timeline workload: diurnal demand + churn over the step engine.
 
 :func:`run_timeline` drives a :class:`ConstellationSimulation` with
-sub-minute steps (through the fast engine's visibility index, which
-runs its exact tiled kernel every step unless an integer
-``visibility_window`` asks for cached candidates), applying per-county diurnal multipliers to the provisioned
-demand each step and charging handover-churn outage windows against
-the allocated capacity. It accumulates per-cell QoE timelines the
-static pipeline cannot express: unserved-hours-per-day and
-reconnection-outage minutes.
+sub-minute steps (the fast engine runs its exact tiled visibility
+kernel every step), applying per-county diurnal multipliers to the
+provisioned demand each step and charging handover-churn outage
+windows against the allocated capacity. It accumulates per-cell QoE
+timelines the static pipeline cannot express: unserved-hours-per-day
+and reconnection-outage minutes.
 
 **Static-identity differential.** With the flat profile and churn
 disabled, every per-step demand override is bitwise equal to the
@@ -68,7 +67,6 @@ class TimelineConfig:
     oversubscription: float = 20.0
     strategy: str = "greedy"
     engine: str = "fast"
-    visibility_window: Union[int, str] = "auto"
     start_s: float = 0.0
     verify_identity: Optional[bool] = None
     """``None`` verifies the static-identity differential exactly when
@@ -130,7 +128,12 @@ class TimelineResult:
 
     @property
     def days(self) -> float:
-        return float(self.config.duration_s) / SECONDS_PER_DAY
+        """Simulated span in days: ``steps * step_s``.
+
+        Not ``duration_s``: the clock drops a trailing partial step, so
+        a ragged duration would count time no step simulated.
+        """
+        return self.steps * float(self.config.step_s) / SECONDS_PER_DAY
 
     def unserved_hours_per_day(self) -> np.ndarray:
         """Per-cell hours per day with unmet demand.
@@ -141,11 +144,11 @@ class TimelineResult:
         shortfall, whether from beam contention or from busy-hour
         demand exceeding the per-cell beam cap; transient churn
         outages are the separate :meth:`outage_minutes` metric. Each
-        unserved step
-        contributes ``step_s`` seconds, and the total is normalized by
-        the run's length in days, so a cell unserved around the
-        nightly busy hour in every simulated day scores the same
-        whether the run covered one day or seven.
+        unserved step contributes ``step_s`` seconds, and the total is
+        normalized by the simulated span in :attr:`days`, so a cell
+        unserved around the nightly busy hour in every simulated day
+        scores the same whether the run covered one day or seven, and
+        a cell unserved at every step reads 24 h/day.
         """
         return self.unserved_seconds / 3600.0 / self.days
 
@@ -197,7 +200,6 @@ def run_timeline(
         oversubscription=config.oversubscription,
         strategy=_STRATEGIES[config.strategy](),
         engine=config.engine,
-        visibility_window=config.visibility_window,
     )
     clock = config.clock()
     counts = dataset.counts().astype(float)
@@ -232,10 +234,6 @@ def run_timeline(
     outage_counter = registry.counter("timeline.outage_s")
     unserved_counter = registry.counter("timeline.unserved_cell_steps")
 
-    if config.engine == "fast":
-        simulation.visibility_index.configure_window(
-            step_hint_s=clock.step_s
-        )
     with obs.span(
         "timeline.run",
         cells=cell_count,
@@ -363,7 +361,6 @@ def _matches_static(
         oversubscription=config.oversubscription,
         strategy=_STRATEGIES[config.strategy](),
         engine=config.engine,
-        visibility_window=config.visibility_window,
     )
     static_report = static.report(static.run(clock))
     return static_report == timeline_report

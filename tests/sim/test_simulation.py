@@ -89,7 +89,7 @@ class TestRun:
 
 
 class TestStepEngine:
-    """PR 8 plumbing: lazy cell centers and the windowed visibility mode."""
+    """Step plumbing: lazy cell centers and the beam check."""
 
     def test_cell_positions_built_lazily(self, regional_dataset):
         sim = ConstellationSimulation(GEN1_SHELLS[:1], regional_dataset)
@@ -99,19 +99,6 @@ class TestStepEngine:
         positions = sim._cell_positions
         assert len(positions) == len(regional_dataset.cells)
         assert sim._cell_positions is positions  # memoized
-
-    def test_windowed_run_reports_identical(self, regional_dataset):
-        def run(window):
-            sim = ConstellationSimulation(
-                GEN1_SHELLS[:1],
-                regional_dataset,
-                oversubscription=20.0,
-                visibility_window=window,
-            )
-            metrics = sim.run(SimulationClock(duration_s=300.0, step_s=60.0))
-            return sim.report(metrics)
-
-        assert run(3) == run(1)
 
     def test_columnar_dataset_stays_unmaterialized(self, regional_dataset):
         columnar = DemandDataset.from_columns(
@@ -140,13 +127,6 @@ class TestStepEngine:
         )
         with pytest.raises(SimulationError, match="oversubscribed"):
             sim.step(0.0)
-
-    def test_bad_window_rejected_at_index_build(self, regional_dataset):
-        sim = ConstellationSimulation(
-            GEN1_SHELLS[:1], regional_dataset, visibility_window=0
-        )
-        with pytest.raises(SimulationError):
-            sim.visibility_index
 
 
 class TestGeometry:

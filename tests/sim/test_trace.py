@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.orbits.shells import GEN1_SHELLS
+from repro.sim.assignment import GreedyDemandFirst
 from repro.sim.engine import SimulationClock
 from repro.sim.simulation import ConstellationSimulation
 from repro.sim.trace import (
@@ -46,6 +47,32 @@ class TestRecording:
     def test_allocation_only_when_covered(self, recorded):
         uncovered = ~recorded.covered
         assert np.all(recorded.allocated_mbps[uncovered] == 0.0)
+
+
+class OverAssigningBoth(GreedyDemandFirst):
+    """One beam more than satellite 0 has, on the list and CSR paths."""
+
+    def assign(self, visible, demands_mbps, n_satellites, plan):
+        outcome = super().assign(visible, demands_mbps, n_satellites, plan)
+        outcome.beams_used[0] = plan.beams_per_satellite + 1
+        return outcome
+
+    def assign_csr(self, visible, demands_mbps, plan):
+        outcome = super().assign_csr(visible, demands_mbps, plan)
+        outcome.beams_used[0] = plan.beams_per_satellite + 1
+        return outcome
+
+
+class TestStepsThroughSimulation:
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_oversubscribed_beams_raise(self, engine):
+        # The trace must step like run(): the beam check applies.
+        dataset = build_toy_dataset([100, 500, 900], latitudes=[36.5, 37.0, 37.5])
+        simulation = ConstellationSimulation(
+            GEN1_SHELLS[:1], dataset, strategy=OverAssigningBoth(), engine=engine
+        )
+        with pytest.raises(SimulationError, match="oversubscribed"):
+            record_trace(simulation, SimulationClock(300.0, 60.0))
 
 
 class TestValidation:

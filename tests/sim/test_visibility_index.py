@@ -22,7 +22,6 @@ from repro.sim.visibility_index import (
     VisibilityIndex,
     _CellTiles,
     _tile_order,
-    group_pairs,
 )
 
 
@@ -39,13 +38,28 @@ def gateway_sim(regional_dataset):
 
 
 def assert_matches_reference(sim, time_s):
-    """Fast index output == reference rebuild output, cell for cell."""
+    """Fast index output == reference rebuild output, cell for cell.
+
+    Also checks the query's stats: the pairs the exact test evaluated
+    bound the ones that passed, and ``kept`` is the relation's size.
+    """
     csr, fast_lats = sim.visibility_index.query(time_s)
     reference, reference_lats = sim._visibility(time_s)
     assert csr.n_cells == len(reference)
     for cell_index, expected in enumerate(reference):
         np.testing.assert_array_equal(csr.cell(cell_index), expected)
     np.testing.assert_allclose(fast_lats, reference_lats, atol=1e-9)
+    stats = sim.visibility_index.last_query_stats
+    assert stats["kept"] == csr.nnz
+    assert 0.0 <= stats["refine_ratio"] <= 1.0
+    passed = stats["refine_ratio"] * stats["candidates"]
+    assert 0 <= passed <= stats["candidates"]
+
+
+#: Orbital period of GEN1_SHELLS[0], the lower of ``regional_sim``'s two
+#: shells. Sampling it at 22 equal steps (23 times with the epoch) ends
+#: on the constellation's epoch geometry.
+_PERIOD_S = 2.0 * np.pi / WalkerDelta.from_shell(GEN1_SHELLS[0]).mean_motion_rad_s
 
 
 class TestCSRVisibility:
@@ -107,11 +121,20 @@ class TestEciStateBasis:
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("time_s", [0.0, 60.0, 600.0, 3600.0])
+    @pytest.mark.parametrize(
+        "time_s",
+        [0.0, 60.0, 600.0, 3600.0]
+        + [
+            pytest.param(step * _PERIOD_S / 22.0, id=f"period-{step}/22")
+            for step in range(1, 23)
+        ],
+    )
     def test_matches_reference_rebuild(self, regional_sim, time_s):
         assert_matches_reference(regional_sim, time_s)
 
-    @pytest.mark.parametrize("time_s", [0.0, 300.0])
+    @pytest.mark.parametrize(
+        "time_s", [0.0, 300.0, 60.0, 120.0, 180.0, 240.0, 360.0]
+    )
     def test_matches_reference_with_gateways(self, gateway_sim, time_s):
         assert_matches_reference(gateway_sim, time_s)
 
@@ -159,78 +182,6 @@ class TestIndexValidation:
                 gateway_ecef=gateway_sim._gateway_ecef,
             )
 
-    @pytest.mark.parametrize("window", [0, -3, True, "fast", 2.5])
-    def test_rejects_bad_windows(self, regional_sim, window):
-        with pytest.raises(SimulationError):
-            VisibilityIndex(
-                regional_sim.walkers,
-                regional_sim._cell_ecef,
-                regional_sim._chord_radii,
-                window=window,
-            )
-
-    def test_configure_window_validates_too(self, regional_sim):
-        index = _paired_indexes(regional_sim, 1, None)[0]
-        with pytest.raises(SimulationError):
-            index.configure_window(window=0)
-        index.configure_window(window="auto", step_hint_s=15.0)
-        assert index._window == "auto"
-
-
-class TestGroupPairs:
-    """The O(nnz) CSR grouping vs the fused-argsort it replaced."""
-
-    def _reference_indptr(self, cells, n_cells):
-        indptr = np.zeros(n_cells + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cells, minlength=n_cells), out=indptr[1:])
-        return indptr
-
-    def test_empty_pairs(self):
-        indptr, order = group_pairs(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 4, 9
-        )
-        np.testing.assert_array_equal(indptr, np.zeros(5, dtype=np.int64))
-        assert order.size == 0
-
-    def test_matches_fused_argsort_on_random_pairs(self):
-        rng = np.random.default_rng(20250807)
-        for _ in range(25):
-            n_cells = int(rng.integers(1, 24))
-            n_sats = int(rng.integers(1, 24))
-            universe = n_cells * n_sats
-            nnz = int(rng.integers(0, universe + 1))
-            flat = rng.choice(universe, size=nnz, replace=False)
-            cells = (flat // n_sats).astype(np.int64)
-            sats = (flat % n_sats).astype(np.int64)
-            indptr, order = group_pairs(cells, sats, n_cells, n_sats)
-            # Small enough that the legacy fused key cannot overflow.
-            fused = np.argsort(cells * n_sats + sats)
-            np.testing.assert_array_equal(sats[order], sats[fused])
-            np.testing.assert_array_equal(cells[order], cells[fused])
-            np.testing.assert_array_equal(
-                indptr, self._reference_indptr(cells, n_cells)
-            )
-
-    def test_duplicate_pair_raises(self):
-        cells = np.array([2, 0, 2], dtype=np.int64)
-        sats = np.array([7, 1, 7], dtype=np.int64)
-        with pytest.raises(SimulationError):
-            group_pairs(cells, sats, 3, 9)
-
-    def test_immune_to_fused_key_overflow(self):
-        # With n_satellites = 2**62 the legacy key
-        # ``cells * n_satellites + sats`` wraps int64 for any cell >= 2,
-        # scrambling the grouping. The counting sort never forms the
-        # product, so satellite ids up to the full int64 range group
-        # correctly.
-        n_satellites = 2**62
-        cells = np.array([2, 0, 2, 1], dtype=np.int64)
-        sats = np.array([2**61, 5, 3, 2**60], dtype=np.int64)
-        indptr, order = group_pairs(cells, sats, 3, n_satellites)
-        np.testing.assert_array_equal(indptr, [0, 1, 2, 4])
-        np.testing.assert_array_equal(sats[order], [5, 2**60, 3, 2**61])
-        np.testing.assert_array_equal(cells[order], [0, 1, 2, 2])
-
 
 class TestGatewayKD:
     def test_eligibility_matches_dense_reference(self, gateway_sim):
@@ -246,172 +197,6 @@ class TestGatewayKD:
             ).any(axis=1)
             np.testing.assert_array_equal(mask, dense)
             assert mask.any() and not mask.all()
-
-
-def _paired_indexes(sim, window, step_hint_s):
-    """A windowed index and an exact per-step rebuild twin for one sim."""
-
-    def build(window_setting, hint):
-        kwargs = {}
-        if sim.gateways:
-            kwargs = dict(
-                gateway_ecef=sim._gateway_ecef,
-                gateway_radii_km=sim._gateway_radii,
-            )
-        return VisibilityIndex(
-            sim.walkers,
-            sim._cell_ecef,
-            sim._chord_radii,
-            window=window_setting,
-            step_hint_s=hint,
-            **kwargs,
-        )
-
-    return build(window, step_hint_s), build(1, None)
-
-
-def assert_windowed_matches_rebuild(sim, times_s, window, step_hint_s):
-    """Bit-identity of the cached-candidate mode against the rebuild."""
-    cached, exact = _paired_indexes(sim, window, step_hint_s)
-    for time_s in times_s:
-        cached_csr, cached_lats = cached.query(time_s)
-        exact_csr, exact_lats = exact.query(time_s)
-        np.testing.assert_array_equal(cached_csr.indptr, exact_csr.indptr)
-        np.testing.assert_array_equal(cached_csr.indices, exact_csr.indices)
-        np.testing.assert_array_equal(cached_lats, exact_lats)
-    return cached
-
-
-class TestWindowedVisibility:
-    """Cached-candidate windows == per-step rebuilds, bit for bit."""
-
-    def test_full_orbital_period_multi_shell(self, regional_sim):
-        # One full orbit of the lowest shell, sampled at a step count
-        # (23) not divisible by the window (5): the final window is
-        # ragged and the constellation returns to its epoch geometry.
-        period_s = 2.0 * np.pi / regional_sim.walkers[0].mean_motion_rad_s
-        step_s = period_s / 22.0
-        times = [index * step_s for index in range(23)]
-        cached = assert_windowed_matches_rebuild(
-            regional_sim, times, window=5, step_hint_s=step_s
-        )
-        assert cached.last_query_stats["mode"] == "cached"
-
-    def test_window_boundaries_with_ragged_tail(self, regional_sim):
-        # 23 steps through windows of 4: rebuilds must land exactly on
-        # steps 0, 4, 8, ... and every in-window step must still match.
-        times = [index * 30.0 for index in range(23)]
-        cached, exact = _paired_indexes(regional_sim, 4, 30.0)
-        rebuilds = 0
-        for time_s in times:
-            cached_csr, _ = cached.query(time_s)
-            exact_csr, _ = exact.query(time_s)
-            np.testing.assert_array_equal(
-                cached_csr.indptr, exact_csr.indptr
-            )
-            np.testing.assert_array_equal(
-                cached_csr.indices, exact_csr.indices
-            )
-            stats = cached.last_query_stats
-            assert stats["window_rebuilt"] == (time_s % 120.0 == 0.0)
-            rebuilds += stats["window_rebuilt"]
-            assert stats["candidates"] >= stats["kept"] == cached_csr.nnz
-            assert 0.0 <= stats["refine_ratio"] <= 1.0
-        assert rebuilds == 6  # ceil(23 / 4)
-
-    def test_gateway_mask_applied_inside_windows(self, gateway_sim):
-        times = [index * 60.0 for index in range(7)]
-        assert_windowed_matches_rebuild(
-            gateway_sim, times, window=3, step_hint_s=60.0
-        )
-
-    def test_out_of_order_query_times_still_exact(self, regional_sim):
-        # Jumping backwards out of the cached window must trigger a
-        # rebuild, never a wrong answer.
-        times = [300.0, 330.0, 0.0, 360.0, 30.0, 300.0]
-        assert_windowed_matches_rebuild(
-            regional_sim, times, window=4, step_hint_s=30.0
-        )
-
-    def test_auto_mode_is_exact_at_fine_steps(self, regional_sim):
-        # The tiled exact kernel beats every window length at 1-30 s
-        # steps, so "auto" no longer caches even at 1 s.
-        auto, exact = _paired_indexes(regional_sim, "auto", 1.0)
-        for time_s in (0.0, 1.0, 2.0, 3.0):
-            auto_csr, _ = auto.query(time_s)
-            exact_csr, _ = exact.query(time_s)
-            np.testing.assert_array_equal(auto_csr.indptr, exact_csr.indptr)
-            np.testing.assert_array_equal(auto_csr.indices, exact_csr.indices)
-            assert auto.last_query_stats["mode"] == "rebuild"
-            assert auto.last_query_stats["window_steps"] == 1
-
-    def test_auto_mode_rebuilds_at_coarse_steps(self, regional_sim):
-        cached, _ = _paired_indexes(regional_sim, "auto", 60.0)
-        cached.query(0.0)
-        assert cached.last_query_stats["mode"] == "rebuild"
-        assert cached.last_query_stats["window_steps"] == 1
-
-    def test_window_without_hint_falls_back_then_infers(self, regional_sim):
-        cached, exact = _paired_indexes(regional_sim, 4, None)
-        cached_csr, _ = cached.query(0.0)
-        assert cached.last_query_stats["mode"] == "rebuild"
-        for time_s in (20.0, 40.0, 60.0):
-            cached_csr, _ = cached.query(time_s)
-            exact_csr, _ = exact.query(time_s)
-            np.testing.assert_array_equal(
-                cached_csr.indptr, exact_csr.indptr
-            )
-            np.testing.assert_array_equal(
-                cached_csr.indices, exact_csr.indices
-            )
-        assert cached.last_query_stats["mode"] == "cached"
-
-    @given(
-        window=st.integers(min_value=2, max_value=6),
-        step_s=st.floats(min_value=5.0, max_value=240.0),
-        start_s=st.floats(min_value=0.0, max_value=86400.0),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_random_windows_match_rebuild(
-        self, regional_sim, window, step_s, start_s
-    ):
-        times = [start_s + index * step_s for index in range(window + 2)]
-        assert_windowed_matches_rebuild(
-            regional_sim, times, window=window, step_hint_s=step_s
-        )
-
-    @given(
-        altitude_km=st.floats(min_value=420.0, max_value=1300.0),
-        inclination_deg=st.floats(min_value=35.0, max_value=97.0),
-        planes=st.integers(min_value=2, max_value=6),
-        sats_per_plane=st.integers(min_value=2, max_value=8),
-        window=st.integers(min_value=2, max_value=5),
-        step_s=st.floats(min_value=10.0, max_value=120.0),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_random_constellations_match_rebuild(
-        self,
-        regional_dataset,
-        altitude_km,
-        inclination_deg,
-        planes,
-        sats_per_plane,
-        window,
-        step_s,
-    ):
-        shell = Shell(
-            name="hypothesis",
-            satellite_count=planes * sats_per_plane,
-            altitude_km=altitude_km,
-            inclination_deg=inclination_deg,
-            planes=planes,
-            sats_per_plane=sats_per_plane,
-        )
-        sim = ConstellationSimulation([shell], regional_dataset)
-        times = [index * step_s for index in range(window + 2)]
-        assert_windowed_matches_rebuild(
-            sim, times, window=window, step_hint_s=step_s
-        )
 
 
 @st.composite
@@ -547,6 +332,21 @@ class TestTiledKernel:
         gateway_ids=[0],
         times_s=[60.0],
     )
+    # Out-of-order query times on one index: backwards jumps and a
+    # repeated time.
+    @example(
+        shells=list(GEN1_SHELLS[:2]),
+        region=("bbox", (37.0, 38.5, -83.5, -81.0)),
+        gateway_ids=None,
+        times_s=[300.0, 330.0, 0.0, 360.0, 30.0, 300.0],
+    )
+    # The same region and times with the bent-pipe gateway mask on.
+    @example(
+        shells=list(GEN1_SHELLS[:1]),
+        region=("bbox", (37.0, 38.5, -83.5, -81.0)),
+        gateway_ids=[0, 1, 2],
+        times_s=[300.0, 330.0, 0.0, 360.0, 30.0, 300.0],
+    )
     @settings(max_examples=40, deadline=None)
     def test_random_shells_regions_gateways_match_reference(
         self, national_dataset, shells, region, gateway_ids, times_s
@@ -571,12 +371,9 @@ class TestTiledKernel:
         cells = 0 if dataset is None else dataset.counts().size
         event(f"tiles: {-(-cells // 256)}" if cells > 1 else f"cells: {cells}")
         if dataset is not None:
-            sim = ConstellationSimulation(
-                shells, dataset, gateways=gateways, visibility_window=1
-            )
+            sim = ConstellationSimulation(shells, dataset, gateways=gateways)
             for time_s in times_s:
                 assert_matches_reference(sim, time_s)
-                assert sim.visibility_index.last_query_stats["mode"] == "rebuild"
             return
         probe = ConstellationSimulation(
             shells,

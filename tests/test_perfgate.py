@@ -175,7 +175,6 @@ def _simulation_results(**overrides):
         "visibility": {
             "speedup": 30.0,
             "fast_s": 0.02,
-            "windowed": {"speedup": 2.0, "identical": True},
         },
         "assignment": {
             "greedy": {"speedup": 12.0},
@@ -195,6 +194,7 @@ def _simulation_results(**overrides):
                 "assignment": {"speedup": 3.0, "fast_s": 0.004},
             },
         },
+        "timeline": {"flat_identical": True},
         "headline_speedup": 10.0,
         "all_reports_identical": True,
     }
@@ -203,7 +203,7 @@ def _simulation_results(**overrides):
 
 
 class TestSimulationSchemaGate:
-    """Per-phase ratios and the windowed identity flag (PR 8)."""
+    """Per-phase ratios and the flat-timeline identity flag."""
 
     def test_identical_results_pass(self):
         findings = compare_bench(
@@ -228,33 +228,18 @@ class TestSimulationSchemaGate:
         candidate["phases"]["greedy"]["assignment"]["speedup"] = 12.0
         assert not _failed(compare_bench(baseline, candidate))
 
-    def test_windowed_identity_flip_fails(self):
+    def test_flat_identity_flip_fails(self):
         candidate = _simulation_results()
-        candidate["visibility"]["windowed"]["identical"] = False
+        candidate["timeline"]["flat_identical"] = False
         assert _failed(compare_bench(_simulation_results(), candidate)) == [
-            "visibility.windowed.identical"
+            "timeline.flat_identical"
         ]
-
-    def test_windowed_speedup_is_informational(self):
-        # The windowed ratio depends on step size vs host; it is
-        # reported, never gated.
-        candidate = _simulation_results()
-        candidate["visibility"]["windowed"]["speedup"] = 0.5
-        findings = compare_bench(_simulation_results(), candidate)
-        assert not _failed(findings)
-        finding = next(
-            f
-            for f in findings
-            if f.metric == "visibility.windowed.speedup"
-        )
-        assert not finding.gated
 
     def test_pre_phase_baseline_info_passes(self):
         # A baseline pinned before the per-phase breakdown existed has
         # no "phases" section: the new metrics must info-pass, not fail.
         baseline = _simulation_results()
         del baseline["phases"]
-        del baseline["visibility"]["windowed"]
         findings = compare_bench(baseline, _simulation_results())
         assert not _failed(findings)
         assert not any(

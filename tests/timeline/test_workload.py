@@ -148,6 +148,23 @@ class TestDiurnalEffects:
         assert at_peak.size and at_trough.size
         assert at_peak.mean() < at_trough.mean()
 
+    @pytest.mark.parametrize("duration_s", [90.0, 100.0])
+    def test_ragged_clock_normalizes_by_simulated_span(
+        self, dataset, duration_s
+    ):
+        # Both clocks run the same three 30 s steps (the trailing 10 s
+        # of the 100 s run is dropped), and the largest toy cell is
+        # unserved at every one: 24 h/day either way.
+        result = run_timeline(
+            dataset,
+            SHELLS,
+            TimelineConfig(
+                duration_s=duration_s, step_s=30.0, verify_identity=False
+            ),
+        )
+        assert result.steps == 3
+        assert float(result.unserved_hours_per_day()[-1]) == 24.0
+
     def test_hourly_grid_covers_run_hours(self, dataset):
         result = run_timeline(
             dataset,
