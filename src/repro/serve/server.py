@@ -4,7 +4,10 @@ One request per line, one response per line. Requests are JSON objects
 with an ``op`` field; responses echo ``ok`` plus the engine's answer (and
 the answer's ``epoch``/``scenario_id``, so clients can detect snapshot
 swaps). Errors come back as ``{"ok": false, "error": ...}`` — a bad
-request never kills the connection.
+request never kills the connection, with one exception: a request line
+longer than :data:`REQUEST_FRAME_LIMIT` gets its error reply and then
+the server ends the connection, since the rest of the line cannot be
+told apart from the next request.
 
 Ops:
 
@@ -36,6 +39,14 @@ from repro.errors import ReproError, ServeError
 from repro.serve.engine import QueryEngine
 from repro.serve.scenario import ScenarioParams
 
+#: Longest request line the server reads, in bytes (asyncio's default,
+#: stated explicitly). A 1,000-id ``point_id`` request is ~9 KB.
+REQUEST_FRAME_LIMIT = 64 * 1024
+
+#: Longest response line :class:`ServeClient` reads, in bytes. A national
+#: ``tiles`` reply is ~442 KB; a 1,000-id ``point_id`` reply ~116 KB.
+RESPONSE_FRAME_LIMIT = 16 * 1024 * 1024
+
 
 class ServeServer:
     """An asyncio TCP server wrapping one :class:`QueryEngine`."""
@@ -54,7 +65,10 @@ class ServeServer:
     async def start(self) -> "ServeServer":
         """Bind and start accepting connections (port 0 picks a free one)."""
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client,
+            self.host,
+            self.port,
+            limit=REQUEST_FRAME_LIMIT,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         obs.get_logger("serve").info(
@@ -84,7 +98,11 @@ class ServeServer:
         obs.registry().counter("serve.connections").inc()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    await self._reject_oversized(reader, writer)
+                    break
                 if not line:
                     break
                 started = time.perf_counter()
@@ -100,6 +118,28 @@ class ServeServer:
             # No wait_closed here: the handler task may be cancelled by
             # stop() mid-await, which asyncio.streams reports noisily.
             writer.close()
+
+    @staticmethod
+    async def _reject_oversized(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer an over-limit request line, then end the connection.
+
+        The reply is followed by a half-close, and the rest of the
+        client's input is read and dropped until it closes too: closing
+        with unread input would reset the connection and could destroy
+        the reply before the client reads it.
+        """
+        obs.registry().counter("serve.errors").inc()
+        error = {
+            "ok": False,
+            "error": f"request line exceeds {REQUEST_FRAME_LIMIT} bytes",
+        }
+        writer.write(json.dumps(error).encode() + b"\n")
+        writer.write_eof()
+        await writer.drain()
+        while await reader.read(REQUEST_FRAME_LIMIT):
+            pass
 
     async def _dispatch_line(self, line: bytes) -> Dict:
         try:
@@ -183,7 +223,7 @@ class ServeClient:
 
     async def connect(self) -> None:
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=RESPONSE_FRAME_LIMIT
         )
 
     async def close(self) -> None:

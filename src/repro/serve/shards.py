@@ -15,7 +15,7 @@ batch pipeline's ``min(count, cap)`` per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -68,6 +68,7 @@ class ShardStore:
         rank_in_cell: np.ndarray,
         shards: Tuple[Shard, ...],
         id_order: np.ndarray,
+        ids_sorted: np.ndarray,
     ):
         self.location_id = location_id
         self.cell_key = cell_key
@@ -80,8 +81,11 @@ class ShardStore:
         self.rank_in_cell = rank_in_cell
         self.shards = shards
         self._id_order = id_order
-        self._ids_sorted = location_id[id_order]
+        self._ids_sorted = ids_sorted
         self._cell_tokens = None
+        #: Static per-(grid, tile resolution) tile geometry, filled
+        #: lazily by :mod:`repro.serve.tiles` and shared by every epoch.
+        self.tile_layouts: Dict[Tuple[int, int], object] = {}
 
     @property
     def cell_tokens(self):
@@ -111,16 +115,22 @@ class ShardStore:
             lat_deg = np.ascontiguousarray(table.lat_deg[order])
             lon_deg = np.ascontiguousarray(table.lon_deg[order])
             n = len(location_id)
-            if n and len(np.unique(location_id)) != n:
+            # Both checks below read adjacent pairs of already-sorted
+            # arrays: linear, where ``np.unique`` would hash or re-sort.
+            ids_sorted = location_id[id_order]
+            if (ids_sorted[1:] == ids_sorted[:-1]).any():
                 raise ServeError("duplicate location ids in table")
-            unique_keys, first_rows, per_cell = np.unique(
-                cell_key, return_index=True, return_counts=True
-            )
             cell_starts = np.concatenate(
-                [first_rows, np.array([n], dtype=np.int64)]
-            ).astype(np.int64)
+                [
+                    np.zeros(min(n, 1), dtype=np.int64),
+                    np.flatnonzero(cell_key[1:] != cell_key[:-1]) + 1,
+                    np.array([n], dtype=np.int64),
+                ]
+            )
+            unique_keys = cell_key[cell_starts[:-1]]
             row_cell = np.repeat(
-                np.arange(len(unique_keys), dtype=np.int64), per_cell
+                np.arange(len(unique_keys), dtype=np.int64),
+                np.diff(cell_starts),
             )
             rank_in_cell = np.arange(n, dtype=np.int64) - cell_starts[row_cell]
             shards = cls._cut_shards(cell_starts, target_shard_rows)
@@ -137,6 +147,7 @@ class ShardStore:
                 rank_in_cell=rank_in_cell,
                 shards=shards,
                 id_order=id_order,
+                ids_sorted=ids_sorted,
             )
 
     @staticmethod
@@ -163,11 +174,14 @@ class ShardStore:
                 np.concatenate([np.ones(1, dtype=bool), keys[1:] != keys[:-1]])
             )
             run_keys = keys[run_starts]
-            ids_ascending = bool(np.all(ids[1:] > ids[:-1]))
-            runs_unique = len(np.unique(run_keys)) == len(run_keys)
-            if ids_ascending and runs_unique:
-                obs.registry().counter("serve.shards.grouped_fast_path").inc()
+            if np.all(ids[1:] > ids[:-1]):
                 run_order = np.argsort(run_keys, kind="stable")
+                sorted_runs = run_keys[run_order]
+                runs_unique = not (sorted_runs[1:] == sorted_runs[:-1]).any()
+            else:
+                runs_unique = False
+            if runs_unique:
+                obs.registry().counter("serve.shards.grouped_fast_path").inc()
                 run_lens = np.diff(
                     np.concatenate([run_starts, np.array([n])])
                 )

@@ -25,6 +25,50 @@ from repro.viz.geojson import _collection, _feature
 DEFAULT_TILE_RESOLUTION = 3
 
 
+class _TileLayout:
+    """The static cell -> tile geometry of one store at one resolution.
+
+    Depends only on the store's cell keys and the two resolutions, so it
+    is built at the first tile request and shared by every epoch.
+    """
+
+    def __init__(
+        self, unique_keys: np.ndarray, grid_resolution: int, tile_resolution: int
+    ):
+        fine = HexGrid(grid_resolution)
+        coarse = HexGrid(tile_resolution)
+        lat, lon = fine.centers_many(unique_keys)
+        tile_keys = coarse.cell_for_many(lat, lon)
+        unique_tiles, self.inverse = np.unique(tile_keys, return_inverse=True)
+        self.n_tiles = len(unique_tiles)
+        self.tokens = [f"{int(key):015x}" for key in unique_tiles]
+        self.cells = np.bincount(self.inverse, minlength=self.n_tiles).tolist()
+        # Cells grouped by tile, for one ``reduceat`` per request.
+        self.tile_order = np.argsort(self.inverse, kind="stable")
+        self.tile_starts = np.concatenate(
+            [[0], np.cumsum(self.cells)[:-1]]
+        ).astype(np.int64)
+        # Closed rings (first vertex repeated, per the GeoJSON spec).
+        self.rings = []
+        for key in unique_tiles:
+            ring = tuple(
+                (vertex.lon_deg, vertex.lat_deg)
+                for vertex in coarse.cell_polygon(CellId.from_key(int(key)))
+            )
+            self.rings.append(ring + ring[:1])
+
+    @classmethod
+    def of(cls, index: ServeIndex, tile_resolution: int) -> "_TileLayout":
+        """The layout cached on ``index.store``, built on first use."""
+        layouts = index.store.tile_layouts
+        key = (index.grid_resolution, tile_resolution)
+        if key not in layouts:
+            layouts[key] = cls(
+                index.store.unique_keys, index.grid_resolution, tile_resolution
+            )
+        return layouts[key]
+
+
 def tile_aggregates(
     index: ServeIndex, tile_resolution: int = DEFAULT_TILE_RESOLUTION
 ) -> List[Dict]:
@@ -42,65 +86,63 @@ def tile_aggregates(
     with obs.span(
         "serve.tiles", cells=index.n_cells, resolution=tile_resolution
     ) as span:
-        fine = HexGrid(index.grid_resolution)
-        coarse = HexGrid(tile_resolution)
         if index.n_cells == 0:
             return []
-        lat, lon = fine.centers_many(index.store.unique_keys)
-        tile_keys = coarse.cell_for_many(lat, lon)
-        unique_tiles, inverse = np.unique(tile_keys, return_inverse=True)
-        n_tiles = len(unique_tiles)
+        layout = _TileLayout.of(index, tile_resolution)
+        inverse = layout.inverse
+        n_tiles = layout.n_tiles
         locations = np.bincount(
             inverse, weights=index.cell_counts, minlength=n_tiles
         ).astype(np.int64)
         served = np.bincount(
             inverse, weights=index.served_count, minlength=n_tiles
         ).astype(np.int64)
-        cells = np.bincount(inverse, minlength=n_tiles)
         fully = np.bincount(
             inverse, weights=index.fully_served, minlength=n_tiles
         ).astype(np.int64)
+        max_oversub = np.maximum.reduceat(
+            index.required_oversub[layout.tile_order], layout.tile_starts
+        )
         span.set(tiles=n_tiles)
-        rows = []
-        for t in range(n_tiles):
-            in_tile = inverse == t
-            rows.append(
-                {
-                    "tile": f"{int(unique_tiles[t]):015x}",
-                    "cells": int(cells[t]),
-                    "cells_fully_served": int(fully[t]),
-                    "locations": int(locations[t]),
-                    "locations_served": int(served[t]),
-                    "served_fraction": (
-                        int(served[t]) / int(locations[t])
-                        if locations[t]
-                        else 1.0
-                    ),
-                    "max_required_oversubscription": float(
-                        index.required_oversub[in_tile].max()
-                    ),
-                }
+        return [
+            {
+                "tile": token,
+                "cells": cells,
+                "cells_fully_served": n_fully,
+                "locations": n_locations,
+                "locations_served": n_served,
+                "served_fraction": (
+                    n_served / n_locations if n_locations else 1.0
+                ),
+                "max_required_oversubscription": oversub,
+            }
+            for token, cells, n_fully, n_locations, n_served, oversub in zip(
+                layout.tokens,
+                layout.cells,
+                fully.tolist(),
+                locations.tolist(),
+                served.tolist(),
+                max_oversub.tolist(),
             )
-        return rows
+        ]
 
 
 def tiles_to_geojson(
     index: ServeIndex, tile_resolution: int = DEFAULT_TILE_RESOLUTION
 ) -> Dict:
     """Tile aggregates as a GeoJSON FeatureCollection of hex polygons."""
-    coarse = HexGrid(tile_resolution)
+    rows = tile_aggregates(index, tile_resolution)
+    if not rows:
+        return _collection([])
+    rings = _TileLayout.of(index, tile_resolution).rings
+    epoch = index.epoch
+    scenario_id = index.scenario_id
     features = []
-    for row in tile_aggregates(index, tile_resolution):
-        cell = CellId.from_token(row["tile"])
-        ring = [
-            [vertex.lon_deg, vertex.lat_deg]
-            for vertex in coarse.cell_polygon(cell)
-        ]
-        ring.append(ring[0])  # close the ring per the GeoJSON spec
-        properties = dict(row)
-        properties["epoch"] = index.epoch
-        properties["scenario_id"] = index.scenario_id
+    for row, ring in zip(rows, rings):
+        row["epoch"] = epoch
+        row["scenario_id"] = scenario_id
+        coordinates = [[list(vertex) for vertex in ring]]
         features.append(
-            _feature({"type": "Polygon", "coordinates": [ring]}, properties)
+            _feature({"type": "Polygon", "coordinates": coordinates}, row)
         )
     return _collection(features)

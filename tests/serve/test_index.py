@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.demand.dataset import DemandDataset
 from repro.demand.locations import LocationTable, explode_cells_table
 from repro.errors import ServeError
+from repro.experiments.serving import REGION_BBOX
 from repro.serve import QueryEngine, ScenarioParams, ShardStore, build_index
 
 from tests.conftest import build_toy_dataset
@@ -136,6 +138,34 @@ class TestBuildIntegrity:
             toy_serve_index.dataset_fingerprint
             == toy_serve_dataset.fingerprint()
         )
+
+
+class TestColumnarDataset:
+    def test_build_index_keeps_cells_unmaterialized(self, national_dataset):
+        region = national_dataset.subset_bbox(*REGION_BBOX)
+        columnar = DemandDataset.from_columns(
+            region.to_columns(), region.counties, region.grid_resolution
+        )
+        table = explode_cells_table(region, seed=0)
+        index = build_index(table, columnar)
+        assert columnar._cells is None
+        reference = build_index(table, region)
+        for name in (
+            "cell_counts",
+            "cell_county",
+            "cell_monthly_income",
+            "required_oversub",
+            "served_count",
+            "fully_served",
+            "affordable",
+        ):
+            got, want = getattr(index, name), getattr(reference, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert index.county_cells.keys() == reference.county_cells.keys()
+        for county, cells in reference.county_cells.items():
+            assert np.array_equal(index.county_cells[county], cells)
+        assert index.dataset_fingerprint == reference.dataset_fingerprint
 
 
 class TestRefresh:

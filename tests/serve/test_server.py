@@ -7,8 +7,10 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.errors import ServeError
 from repro.serve import QueryEngine, ServeClient, ServeServer
+from repro.serve.server import REQUEST_FRAME_LIMIT
 
 
 def _roundtrip(engine, interact):
@@ -183,3 +185,37 @@ class TestErrors:
                 await client.request({"op": "ping"})
 
         _roundtrip(toy_engine, interact)
+
+
+class TestFrameLimits:
+    def test_over_limit_request_gets_one_error_reply(self, toy_engine):
+        location_ids = list(range(20_000))
+        line = json.dumps({"op": "point_id", "location_ids": location_ids})
+        assert len(line) > REQUEST_FRAME_LIMIT
+        errors = obs.registry().counter("serve.errors")
+        before = errors.value
+
+        async def interact(client):
+            client._writer.write(line.encode() + b"\n")
+            await client._writer.drain()
+            reply = json.loads(await client._reader.readline())
+            return reply, await client._reader.readline()
+
+        reply, after_reply = _roundtrip(toy_engine, interact)
+        assert reply["ok"] is False
+        assert f"exceeds {REQUEST_FRAME_LIMIT} bytes" in reply["error"]
+        # The unread tail of the line cannot be resynchronised: the
+        # server closes the connection after the error reply.
+        assert after_reply == b""
+        assert errors.value == before + 1
+
+    def test_client_reads_a_large_point_batch(self, toy_engine):
+        location_ids = toy_engine.index.store.location_id[:1000].tolist()
+
+        async def interact(client):
+            return await client.point_by_id(location_ids)
+
+        answer = _roundtrip(toy_engine, interact)
+        expected = toy_engine.point_by_id(location_ids)
+        assert len(json.dumps(answer)) > 64 * 1024
+        assert answer == {"ok": True, **json.loads(json.dumps(expected))}
