@@ -5,7 +5,7 @@ Instruments are created on demand and live for the registry's lifetime::
     from repro.obs import registry
 
     registry().counter("sim.steps").inc()
-    registry().counter("sim.csr.nnz").inc(csr.indices.size)
+    registry().counter("sim.csr.nnz").inc(csr.nnz)
     registry().gauge("sim.cells").set(n_cells)
     registry().histogram("runner.task.wall_s").observe(wall)
 

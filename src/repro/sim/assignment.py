@@ -10,29 +10,29 @@ its beams. Two strategies are provided:
 * :class:`ProportionalFair` — one beam per cell first (coverage before
   capacity), then distribute leftover beams by remaining demand.
 
-Both run on the CSR visibility arrays of
-:class:`~repro.sim.visibility_index.CSRVisibility` via fast kernels that
-hoist all per-cell NumPy work (demand ordering, beam requirements) into
-bulk operations done once per step; the old per-cell
-``np.argsort(-free_beams[sats])`` is replaced by a single best-candidate
-scan with an early exit on untouched satellites.
+Both run on the packed bit rows of
+:class:`~repro.sim.visibility_index.CSRVisibility` with integer bit
+operations. A cell's row is a Python int over the step's in-view
+satellites, and the free beams live in nested *level masks*:
+``masks[L]`` holds the satellites with at least ``L`` free beams. The
+best candidate of a cell -- most free beams, ties to the lowest
+satellite id -- is the lowest set bit of ``row & masks[L]`` for the
+highest ``L`` that leaves it non-zero, found by binary search over the
+levels. A grant that takes a satellite from ``L`` to ``r`` free beams
+clears its bit from levels ``r + 1 .. L``, and a cell is dead (every
+candidate drained) exactly when ``row & masks[1] == 0``. Beams only
+decrease, so a dead cell stays dead: the kernels walk their cell order
+in blocks, drop a block's dead cells with one vectorized AND against
+``masks[1]``, and re-check each survivor exactly. The ProportionalFair
+leftover pass pops a lazy max-heap with stale-entry skipping instead of
+an ``np.argmax`` per grant, preserving the argmax tie-break (equal
+unmet demand -> lowest cell id) via the heap's (key, cell) ordering.
 
-The expensive regime is late in a step, when most satellites are
-drained: a cell's best-candidate scan then walks a long row to find
-nothing. Both kernels track satellite *deaths* to skip that work: the
-first time a satellite drains, a satellite -> cells transpose of the
-relation is built (lazily — steps that never drain a satellite pay
-nothing), and a per-cell count of still-live candidates is maintained
-from it. A cell whose live count is zero is skipped in O(1), which is
-exact — beam counts only decrease, so a dead cell stays dead. The
-ProportionalFair leftover pass additionally swaps its
-``np.argmax``-per-grant scan (O(cells) each) for a lazy max-heap with
-stale-entry skipping, preserving the argmax tie-break (equal unmet
-demand -> lowest cell id) via the heap's (key, cell) ordering.
-
-The kernels are outcome-identical to the original interpreted loops,
-which are retained verbatim in :mod:`repro.sim.slow_reference` for
-differential testing.
+A row is a set: the kernels see each cell's satellites in ascending
+id, whatever order a list-of-arrays input gave them. They are
+outcome-identical to the original interpreted loops on ascending rows;
+those loops are retained verbatim in :mod:`repro.sim.slow_reference`
+for differential testing.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ from __future__ import annotations
 import abc
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import SimulationError
 from repro.sim.visibility_index import CSRVisibility
@@ -119,9 +118,9 @@ class BeamAssignmentStrategy(abc.ABC):
         demands_mbps: np.ndarray,
         plan: BeamPlan,
     ) -> AssignmentOutcome:
-        """Assign beams from a CSR visibility relation.
+        """Assign beams from a packed visibility relation.
 
-        Strategies with a vectorized kernel override this; the default
+        Strategies with a packed kernel override this; the default
         adapts back to the per-cell list API so legacy strategies keep
         working inside the fast simulation path.
         """
@@ -161,36 +160,67 @@ def _beams_needed(demands_mbps: np.ndarray, plan: BeamPlan) -> np.ndarray:
     return np.minimum(np.maximum(needed, 1), plan.max_beams_per_cell)
 
 
-def _live_candidates(
-    visibility: CSRVisibility,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Death-tracking state: the satellite -> cells transpose + counts.
+#: Cells per liveness block: before walking a block of cells, one
+#: vectorized AND of their rows against the live-satellite mask drops
+#: the cells whose every candidate has drained.
+_LIVE_BLOCK = 256
 
-    Returns ``(t_indptr, t_indices, alive)`` where
-    ``t_indices[t_indptr[s]:t_indptr[s + 1]]`` are the cells that see
-    satellite ``s`` and ``alive[c]`` starts as cell ``c``'s candidate
-    count. Built lazily by the kernels at the *first* satellite drain —
-    the moment it starts, exactly the satellites recorded as pending by
-    the caller have empty budgets, so decrementing their cells brings
-    ``alive`` to "candidates with free beams" and keeps it exact from
-    then on (per-satellite cell lists contain no duplicates).
+
+def _level_masks(visibility: CSRVisibility, budget: int) -> List[int]:
+    """Free-beam level masks over the relation's columns.
+
+    ``masks[level]`` (``1 <= level <= budget``) has bit ``k`` set while
+    satellite ``columns[k]`` has at least ``level`` free beams; every
+    satellite starts with ``budget``. ``masks[0]`` is unused.
     """
-    matrix = sparse.csr_matrix(
-        (
-            np.ones(visibility.indices.shape[0], dtype=np.int8),
-            visibility.indices,
-            visibility.indptr,
-        ),
-        shape=(visibility.n_cells, visibility.n_satellites),
-    )
-    # CSR -> CSC *is* the transpose grouping: one compiled counting
-    # sort, no COO intermediate, no expanded cell-id array.
-    csc = matrix.tocsc()
-    return (
-        csc.indptr,
-        csc.indices.astype(np.int64, copy=False),
-        np.diff(visibility.indptr),
-    )
+    return [(1 << visibility.columns.size) - 1] * (budget + 1)
+
+
+def _live_rows(
+    visibility: CSRVisibility, order: np.ndarray, masks: List[int]
+) -> Iterator[Tuple[int, int]]:
+    """``(cell, row)`` along ``order`` for cells that may still be served.
+
+    A row is the cell's packed candidates as a Python int. Each block of
+    :data:`_LIVE_BLOCK` cells is ANDed, vectorized, against ``masks[1]``
+    as it stands when the block starts; a cell dead then stays dead
+    (free beams only fall), so dropping it is exact. A yielded cell may
+    have died since the block started: the caller re-checks exactly.
+    """
+    bits = visibility.bits
+    row_bytes = bits.shape[1]
+    data = bits.tobytes()
+    words = bits.view(np.uint64)
+    for lo in range(0, order.size, _LIVE_BLOCK):
+        block = order[lo : lo + _LIVE_BLOCK]
+        live = np.frombuffer(
+            masks[1].to_bytes(row_bytes, "little"), dtype=np.uint64
+        )
+        for cell in block[(words[block] & live).any(axis=1)].tolist():
+            start = cell * row_bytes
+            yield cell, int.from_bytes(data[start : start + row_bytes], "little")
+
+
+def _best_candidate(live: int, masks: List[int], top: int) -> Tuple[int, int]:
+    """``(level, bit)`` of the best candidate among ``live`` (non-zero).
+
+    ``level`` is the most free beams any candidate has: the highest
+    level mask ``live`` meets, found by binary search (the masks nest).
+    ``bit`` is the lowest candidate at that level, so ties go to the
+    lowest satellite id -- the first in an ascending row.
+    """
+    if live & masks[top]:
+        level = top
+    else:
+        level, high = 1, top - 1
+        while level < high:
+            middle = (level + high + 1) >> 1
+            if live & masks[middle]:
+                level = middle
+            else:
+                high = middle - 1
+    best = live & masks[level]
+    return level, best & -best
 
 
 class GreedyDemandFirst(BeamAssignmentStrategy):
@@ -219,78 +249,39 @@ class GreedyDemandFirst(BeamAssignmentStrategy):
         self._check_csr(visibility, demands_mbps)
         n_cells = demands_mbps.shape[0]
         budget = plan.beams_per_satellite
-        order = np.argsort(-demands_mbps, kind="stable").tolist()
-        needed = _beams_needed(demands_mbps, plan).tolist()
-        indptr = visibility.indptr.tolist()
-        indices = visibility.indices
-        free = [budget] * visibility.n_satellites
+        masks = _level_masks(visibility, budget)
         serving = [-1] * n_cells
         granted = [0] * n_cells
-        # Death tracking (see _live_candidates): built at the first
-        # drained satellite; ``pending`` holds drains not yet folded
-        # into ``alive``.
-        alive = None
-        t_indptr = t_indices = None
-        pending: List[int] = []
         if budget > 0:
-            for cell in order:
-                start = indptr[cell]
-                end = indptr[cell + 1]
-                if start == end:
+            order = np.argsort(-demands_mbps, kind="stable")
+            needed = _beams_needed(demands_mbps, plan).tolist()
+            for cell, row in _live_rows(visibility, order, masks):
+                live = row & masks[1]
+                if not live:
                     continue
-                if alive is not None:
-                    if pending:
-                        for sat in pending:
-                            touched = t_indices[t_indptr[sat] : t_indptr[sat + 1]]
-                            alive[touched] -= 1
-                        pending.clear()
-                    if not alive[cell]:
-                        continue  # every candidate drained: exact skip
-                row = indices[start:end].tolist()
                 need = needed[cell]
                 got = 0
-                serve = -1
-                # Take from the candidate with the most free beams until the
-                # need is met; a chosen satellite is either drained or finishes
-                # the cell, so repeated best-candidate scans visit candidates
-                # in exactly the order the full descending sort used to. A
-                # candidate with an untouched budget can't be beaten, so the
-                # scan stops at the first one (the common case).
-                while got < need:
-                    best = -1
-                    best_free = 0
-                    for sat in row:
-                        beams = free[sat]
-                        if beams > best_free:
-                            best_free = beams
-                            best = sat
-                            if beams == budget:
-                                break
-                    if best < 0:
-                        break
+                # Take from the candidate with the most free beams until
+                # the need is met: each take either drains the satellite
+                # or finishes the cell.
+                while True:
+                    level, bit = _best_candidate(live, masks, budget)
                     take = need - got
-                    if take > best_free:
-                        take = best_free
-                    remaining = best_free - take
-                    free[best] = remaining
-                    if remaining == 0:
-                        if alive is None:
-                            t_indptr, t_indices, alive = _live_candidates(
-                                visibility
-                            )
-                        pending.append(best)
-                    if got == 0:
-                        serve = best
+                    if take > level:
+                        take = level
+                    for cleared in range(level - take + 1, level + 1):
+                        masks[cleared] ^= bit
+                    if not got:
+                        serving[cell] = bit.bit_length() - 1
                     got += take
-                if got:
-                    serving[cell] = serve
-                    granted[cell] = got
-        return _finish_outcome(
-            np.array(granted, dtype=np.int64),
-            np.array(serving, dtype=int),
-            np.array(free, dtype=int),
-            demands_mbps,
-            plan,
+                    if got == need:
+                        break
+                    live = row & masks[1]
+                    if not live:
+                        break
+                granted[cell] = got
+        return _packed_outcome(
+            visibility, granted, serving, masks, demands_mbps, plan
         )
 
 
@@ -322,60 +313,25 @@ class ProportionalFair(BeamAssignmentStrategy):
         budget = plan.beams_per_satellite
         capacity = plan.beam_capacity_mbps
         max_beams = plan.max_beams_per_cell
-        indptr = visibility.indptr.tolist()
-        indices = visibility.indices
-        free = [budget] * visibility.n_satellites
+        masks = _level_masks(visibility, budget)
         granted = [0] * n_cells
         serving = [-1] * n_cells
-        covered = np.zeros(n_cells, dtype=bool)
-        # Death tracking (see _live_candidates): built at the first
-        # drained satellite; ``pending`` holds drains not yet folded
-        # into ``alive``.
-        alive = None
-        t_indptr = t_indices = None
-        pending: List[int] = []
+        rows = {}  # covered cell -> its packed row, for pass 2
 
         # Pass 1: coverage, scarcest cells (fewest visible satellites)
         # first so footprint-edge cells claim their few candidates before
         # interior cells drain them.
         if budget > 0:
-            for cell in np.argsort(
-                visibility.counts(), kind="stable"
-            ).tolist():
-                start = indptr[cell]
-                end = indptr[cell + 1]
-                if start == end:
+            scarcity = np.argsort(visibility.counts(), kind="stable")
+            for cell, row in _live_rows(visibility, scarcity, masks):
+                live = row & masks[1]
+                if not live:
                     continue
-                if alive is not None:
-                    if pending:
-                        for sat in pending:
-                            touched = t_indices[t_indptr[sat] : t_indptr[sat + 1]]
-                            alive[touched] -= 1
-                        pending.clear()
-                    if not alive[cell]:
-                        continue  # every candidate drained: exact skip
-                best = -1
-                best_free = 0
-                for sat in indices[start:end].tolist():
-                    beams = free[sat]
-                    if beams > best_free:
-                        best_free = beams
-                        best = sat
-                        if beams == budget:
-                            break
-                if best < 0:
-                    continue
-                remaining = best_free - 1
-                free[best] = remaining
-                if remaining == 0:
-                    if alive is None:
-                        t_indptr, t_indices, alive = _live_candidates(
-                            visibility
-                        )
-                    pending.append(best)
-                serving[cell] = best
+                level, bit = _best_candidate(live, masks, budget)
+                masks[level] ^= bit
+                serving[cell] = bit.bit_length() - 1
                 granted[cell] = 1
-                covered[cell] = True
+                rows[cell] = row
 
         # Pass 2: capacity. Repeatedly grant a beam to the cell with the
         # largest unmet demand; a cell leaves the pool when satisfied, at
@@ -387,9 +343,10 @@ class ProportionalFair(BeamAssignmentStrategy):
         # entry is always the older, larger value and pops first).
         # Ordering (-unmet, cell) reproduces argmax's tie-break: equal
         # unmet demand resolves to the lowest cell id.
-        granted_np = np.array(granted, dtype=np.int64)
-        unmet = demands_mbps - granted_np * capacity
-        eligible = covered & (unmet > 0.0) & (granted_np < max_beams)
+        covered = np.zeros(n_cells, dtype=bool)
+        covered[np.fromiter(rows, dtype=np.int64, count=len(rows))] = True
+        unmet = demands_mbps - covered * capacity  # one beam per covered cell
+        eligible = covered & (unmet > 0.0) & (max_beams > 1)
         entitled = {}
         heap = []
         for cell in np.flatnonzero(eligible).tolist():
@@ -401,35 +358,12 @@ class ProportionalFair(BeamAssignmentStrategy):
             negated, cell = heapq.heappop(heap)
             if entitled.get(cell) != -negated:
                 continue  # stale: superseded by a later grant
-            if alive is not None:
-                if pending:
-                    for sat in pending:
-                        touched = t_indices[t_indptr[sat] : t_indptr[sat + 1]]
-                        alive[touched] -= 1
-                    pending.clear()
-                if not alive[cell]:
-                    del entitled[cell]
-                    continue
-            start = indptr[cell]
-            end = indptr[cell + 1]
-            best = -1
-            best_free = 0
-            for sat in indices[start:end].tolist():
-                beams = free[sat]
-                if beams > best_free:
-                    best_free = beams
-                    best = sat
-                    if beams == budget:
-                        break
-            if best < 0:
+            live = rows[cell] & masks[1]
+            if not live:
                 del entitled[cell]
                 continue
-            remaining = best_free - 1
-            free[best] = remaining
-            if remaining == 0:
-                if alive is None:
-                    t_indptr, t_indices, alive = _live_candidates(visibility)
-                pending.append(best)
+            level, bit = _best_candidate(live, masks, budget)
+            masks[level] ^= bit
             granted[cell] += 1
             beams_now = granted[cell]
             value = float(demands_mbps[cell]) - beams_now * capacity
@@ -438,13 +372,41 @@ class ProportionalFair(BeamAssignmentStrategy):
                 heapq.heappush(heap, (-value, cell))
             else:
                 del entitled[cell]
-        return _finish_outcome(
-            np.array(granted, dtype=np.int64),
-            np.array(serving, dtype=int),
-            np.array(free, dtype=int),
-            demands_mbps,
-            plan,
+        return _packed_outcome(
+            visibility, granted, serving, masks, demands_mbps, plan
         )
+
+
+def _packed_outcome(
+    visibility: CSRVisibility,
+    granted: List[int],
+    serving_columns: List[int],
+    masks: List[int],
+    demands_mbps: np.ndarray,
+    plan: BeamPlan,
+) -> AssignmentOutcome:
+    """The outcome of a packed kernel, in global satellite ids.
+
+    A satellite's free beams are the number of level masks holding it;
+    ``serving_columns`` are column positions (-1 when uncovered).
+    """
+    columns = visibility.columns
+    free = np.full(visibility.n_satellites, plan.beams_per_satellite, dtype=int)
+    if len(masks) > 1 and columns.size:
+        row_bytes = visibility.bits.shape[1]
+        levels = np.frombuffer(
+            b"".join(mask.to_bytes(row_bytes, "little") for mask in masks[1:]),
+            dtype=np.uint8,
+        ).reshape(len(masks) - 1, row_bytes)
+        free[columns] = np.unpackbits(
+            levels, axis=1, count=columns.size, bitorder="little"
+        ).sum(axis=0)
+    serving = np.array(serving_columns, dtype=int)
+    served = serving >= 0
+    serving[served] = columns[serving[served]]
+    return _finish_outcome(
+        np.array(granted, dtype=np.int64), serving, free, demands_mbps, plan
+    )
 
 
 def _finish_outcome(

@@ -5,7 +5,7 @@ the calibrated national dataset, the paper's headline configuration):
 
 * **visibility-only** — :class:`VisibilityIndex.query` vs the original
   per-step KD-tree rebuild,
-* **assignment-only** — the vectorized CSR kernels vs the
+* **assignment-only** — the packed-row kernels vs the
   :mod:`repro.sim.slow_reference` loops on one step's real relation,
 * **end-to-end** — full :meth:`ConstellationSimulation.run` on both
   engines, asserting the two :class:`SimulationReport` results are

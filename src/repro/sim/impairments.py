@@ -153,11 +153,12 @@ def apply_impairments_csr(
     cell_positions: Sequence[LatLon],
     rng: np.random.Generator,
 ) -> tuple:
-    """CSR twin of :func:`apply_impairments`.
+    """Packed-relation twin of :func:`apply_impairments`.
 
-    Takes and returns a :class:`~repro.sim.visibility_index.CSRVisibility`;
-    the satellite filter is a single vectorized mask application instead
-    of a per-cell list rebuild.
+    Takes and returns a :class:`~repro.sim.visibility_index.CSRVisibility`.
+    The satellite filter ANDs every packed row with one column keep
+    mask and recounts the rows through a byte popcount table, so an
+    impaired step never unpacks the relation.
     """
     keep = _combined_keep_mask(impairments, visibility.n_satellites, rng)
     if not keep.all():

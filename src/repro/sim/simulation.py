@@ -13,8 +13,8 @@ Two engines produce each step's visibility relation:
   :class:`~repro.sim.visibility_index.VisibilityIndex` that tiles the
   static cells once, propagates satellites by rotating cached epoch
   geometry, and runs an exact tiled kernel (cull by tile, test the
-  remaining pairs, write CSR rows in cell order), handing strategies a
-  CSR array relation.
+  remaining pairs, pack bit rows in cell order), handing strategies a
+  packed relation.
 * ``engine="reference"`` — the original per-step KD-tree rebuild over
   Python lists, retained for differential testing and benchmarking
   (see ``repro-divide bench``).
@@ -309,7 +309,7 @@ class ConstellationSimulation:
     def _step_fast(
         self, time_s: float, demands_override: Optional[np.ndarray] = None
     ):
-        """One step on the CSR fast path."""
+        """One step on the packed-relation fast path."""
         with obs.span("sim.step", engine="fast", time_s=time_s):
             with obs.span("sim.visibility"):
                 csr, sat_lats = self.visibility_index.query(time_s)

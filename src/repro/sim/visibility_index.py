@@ -1,10 +1,12 @@
-"""Compact visibility relation and the precomputed index that builds it.
+"""Packed visibility relation and the precomputed index that builds it.
 
 * :class:`CSRVisibility` stores the relation "which satellites can serve
-  which cells right now" in CSR form — one flat ``indices`` array of
-  satellite ids plus an ``indptr`` offset array — so strategies,
-  impairments, and metrics can operate on it with bulk NumPy ops.
-  ``to_lists()`` adapts back to the legacy list-of-arrays API.
+  which cells right now" as packed bit rows: one row of bits per cell
+  over the step's in-view satellites (ascending global ids), plus a
+  per-cell count. Assignment reads the rows as Python ints and works
+  with integer bit operations; impairments AND them with a keep mask.
+  The CSR arrays (``indptr``, ``indices``) and ``to_lists()`` are
+  derived on first use for tests and list-based strategies.
 * :class:`VisibilityIndex` precomputes everything that does not change
   between steps: the (static, Earth-fixed) demand cells split into
   spatially compact tiles, and each shell's epoch ECI geometry. Per
@@ -13,18 +15,19 @@
   then one Earth-spin matrix).
 
 Per step, a tiled exact kernel builds the relation. Satellites are
-culled against the sphere bounding all cells, then (tile, satellite)
-pairs against ``tile_radius + chord``; a satellite within
-``chord - tile_radius`` of a tile's center sees the whole tile, and
-every other surviving pair is tested cell by cell with the predicate
-cKDTree applies (per-axis ``(cell - sat)**2`` accumulated x, y, z,
-compared ``<= chord**2``). Each tile's boolean block is written straight
-into cell-order CSR with satellite ids ascending: no KD-tree query, pair
-grouping or sort runs in the step. The relation agrees bit for bit with
-the reference engine (differentially tested). Measured at national
-scale this kernel beats a cached-candidate window at every step size
-from 1 to 30 s (PERFORMANCE.md "One visibility kernel"), so it is the
-only one.
+culled against the sphere bounding all cells; the survivors are the
+relation's columns. Then (tile, satellite) pairs are culled against
+``tile_radius + chord``; a satellite within ``chord - tile_radius`` of
+a tile's center sees the whole tile, and every other surviving pair is
+tested cell by cell with the predicate cKDTree applies (per-axis
+``(cell - sat)**2`` accumulated x, y, z, compared ``<= chord**2``).
+Each tile's cells x columns hits are packed (``np.packbits``,
+little-endian bit order) straight into its cells' rows through one
+small scratch block: no KD-tree query, pair list, sort or CSR scatter
+runs in the step. The relation agrees bit for bit with the reference
+engine (differentially tested). Measured at national scale this kernel
+beats a cached-candidate window at every step size from 1 to 30 s
+(PERFORMANCE.md "One visibility kernel"), so it is the only one.
 
 Gateway (bent-pipe) eligibility is a boolean ndarray mask from a ball
 query against a small precomputed gateway KD-tree (not a dense
@@ -46,50 +49,167 @@ from repro.orbits.kepler import ecef_to_latlon, gmst_rad
 from repro.orbits.walker import WalkerDelta
 
 
-@dataclass(frozen=True)
-class CSRVisibility:
-    """A cell -> visible-satellites relation in CSR form.
+#: Set bits per byte value: row counts without unpacking.
+_POPCOUNT = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
 
-    ``indices[indptr[c]:indptr[c + 1]]`` are the satellite ids visible
-    from cell ``c``, in ascending order when produced by
-    :class:`VisibilityIndex` (matching the legacy per-cell arrays).
+#: Bool scratch (bytes) one row block may use when packing CSR into bit
+#: rows or unpacking bit rows back into CSR.
+_BLOCK_BYTES = 1 << 22
+
+
+def _row_bytes(n_columns: int) -> int:
+    """Bytes per packed row: whole 64-bit words, so rows view as uint64."""
+    return 8 * -(-n_columns // 64)
+
+
+def _block_rows(n_columns: int) -> int:
+    """Rows per block whose unpacked bool form fits :data:`_BLOCK_BYTES`."""
+    return max(1, _BLOCK_BYTES // max(1, 8 * _row_bytes(n_columns)))
+
+
+def _pack_flags(flags: np.ndarray, row_bytes: int) -> np.ndarray:
+    """One packed row of ``row_bytes`` bytes from per-column flags."""
+    padded = np.zeros(8 * row_bytes, dtype=bool)
+    padded[: flags.size] = flags
+    return np.packbits(padded, bitorder="little")
+
+
+def _row_counts(bits: np.ndarray) -> np.ndarray:
+    """Set bits per packed row, through the byte popcount table."""
+    return _POPCOUNT[bits].sum(axis=1, dtype=np.int64)
+
+
+class CSRVisibility:
+    """A cell -> visible-satellites relation, stored as packed bit rows.
+
+    :attr:`columns` are the satellites the relation can name, ascending
+    global ids. Cell ``c``'s row is ``bits[c]``: bit ``k`` (little-endian
+    bit order; rows padded to whole 64-bit words) is set when the cell
+    sees satellite ``columns[k]``. A row is a set, so a cell's satellites
+    always come out in ascending id. Per-cell counts are kept beside the
+    rows: :attr:`nnz` and :meth:`counts` never unpack.
+
+    The CSR view (``indices[indptr[c]:indptr[c + 1]]`` are the ids cell
+    ``c`` sees) is derived in row blocks on first use and cached; it
+    serves :meth:`cell`, :meth:`to_lists` and the list-based strategies.
+    The constructor takes that CSR form and validates it: an id outside
+    ``[0, n_satellites)`` or an id repeated within a row raises
+    :class:`SimulationError`. Rows need not be sorted.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    n_satellites: int
-
-    def __post_init__(self) -> None:
-        if self.indptr.ndim != 1 or self.indptr[0] != 0:
+    def __init__(self, indptr, indices, n_satellites: int) -> None:
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        if indptr.ndim != 1 or not indptr.size or indptr[0] != 0:
             raise SimulationError("malformed CSR indptr")
-        if self.indptr[-1] != self.indices.shape[0]:
+        row_counts = np.diff(indptr)
+        if np.any(row_counts < 0):
+            raise SimulationError("malformed CSR indptr")
+        if indices.ndim != 1 or indptr[-1] != indices.shape[0]:
             raise SimulationError("CSR indptr does not span indices")
+        columns = np.unique(indices)
+        if columns.size and (columns[0] < 0 or columns[-1] >= n_satellites):
+            raise SimulationError(
+                f"satellite id outside [0, {n_satellites}) in the relation"
+            )
+        n_cells = row_counts.size
+        bits = np.zeros((n_cells, _row_bytes(columns.size)), dtype=np.uint8)
+        positions = np.searchsorted(columns, indices)
+        step = _block_rows(columns.size)
+        for lo in range(0, n_cells, step):
+            hi = min(lo + step, n_cells)
+            first, last = indptr[lo], indptr[hi]
+            if first == last:
+                continue
+            rows = np.zeros((hi - lo, 8 * bits.shape[1]), dtype=bool)
+            owners = np.repeat(np.arange(hi - lo), row_counts[lo:hi])
+            rows[owners, positions[first:last]] = True
+            bits[lo:hi] = np.packbits(rows, axis=1, bitorder="little")
+        counts = _row_counts(bits)
+        if not np.array_equal(counts, row_counts):
+            raise SimulationError("satellite id repeated within a cell's row")
+        self._set(bits, columns, counts, n_satellites)
+
+    def _set(
+        self,
+        bits: np.ndarray,
+        columns: np.ndarray,
+        counts: np.ndarray,
+        n_satellites: int,
+    ) -> None:
+        self.bits = bits
+        self.columns = columns
+        self.n_satellites = int(n_satellites)
+        self._counts = counts
+        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    @classmethod
+    def _from_bits(
+        cls,
+        bits: np.ndarray,
+        columns: np.ndarray,
+        counts: np.ndarray,
+        n_satellites: int,
+    ) -> "CSRVisibility":
+        """Wrap packed rows, their columns and row counts (no checks)."""
+        relation = cls.__new__(cls)
+        relation._set(bits, columns, counts, n_satellites)
+        return relation
 
     @property
     def n_cells(self) -> int:
-        return self.indptr.shape[0] - 1
+        return self.bits.shape[0]
 
     @property
     def nnz(self) -> int:
-        return int(self.indices.shape[0])
-
-    def cell(self, cell_index: int) -> np.ndarray:
-        """Satellite ids visible from one cell (a view, do not mutate)."""
-        return self.indices[self.indptr[cell_index] : self.indptr[cell_index + 1]]
+        return int(self._counts.sum())
 
     def counts(self) -> np.ndarray:
         """Visible-satellite count per cell."""
-        return np.diff(self.indptr)
+        return self._counts.copy()
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._derive_csr()[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._derive_csr()[1]
+
+    def _derive_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)``, unpacked in row blocks once and cached."""
+        if self._csr is None:
+            indptr = np.zeros(self.n_cells + 1, dtype=np.int64)
+            np.cumsum(self._counts, out=indptr[1:])
+            indices = np.empty(int(indptr[-1]), dtype=np.int64)
+            n_columns = self.columns.size
+            step = _block_rows(n_columns)
+            for lo in range(0, self.n_cells, step):
+                hi = min(lo + step, self.n_cells)
+                if indptr[lo] == indptr[hi]:
+                    continue
+                rows = np.unpackbits(
+                    self.bits[lo:hi], axis=1, count=n_columns, bitorder="little"
+                )
+                indices[indptr[lo] : indptr[hi]] = self.columns[np.nonzero(rows)[1]]
+            self._csr = (indptr, indices)
+        return self._csr
+
+    def cell(self, cell_index: int) -> np.ndarray:
+        """Satellite ids visible from one cell (a view, do not mutate)."""
+        indptr, indices = self._derive_csr()
+        return indices[indptr[cell_index] : indptr[cell_index + 1]]
 
     def to_lists(self) -> List[np.ndarray]:
         """Legacy list-of-arrays view (views into ``indices``)."""
-        return np.split(self.indices, self.indptr[1:-1])
+        indptr, indices = self._derive_csr()
+        return np.split(indices, indptr[1:-1])
 
     @classmethod
     def from_lists(
         cls, visible: Sequence[np.ndarray], n_satellites: int
     ) -> "CSRVisibility":
-        """Pack per-cell index arrays into CSR, preserving per-cell order."""
+        """Pack per-cell id arrays; each row is a set, read back sorted."""
         counts = np.fromiter(
             (len(v) for v in visible), dtype=np.int64, count=len(visible)
         )
@@ -104,19 +224,12 @@ class CSRVisibility:
         return cls(indptr=indptr, indices=indices, n_satellites=n_satellites)
 
     def filter_satellites(self, keep: np.ndarray) -> "CSRVisibility":
-        """Drop satellites where ``keep`` is False (vectorized)."""
+        """Drop satellites where ``keep`` is False: one AND per row."""
         if keep.shape != (self.n_satellites,):
             raise SimulationError("satellite keep-mask misshapen")
-        mask = keep[self.indices]
-        cell_ids = np.repeat(np.arange(self.n_cells, dtype=np.int64), self.counts())
-        indptr = np.zeros(self.n_cells + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(cell_ids[mask], minlength=self.n_cells), out=indptr[1:]
-        )
-        return CSRVisibility(
-            indptr=indptr,
-            indices=self.indices[mask],
-            n_satellites=self.n_satellites,
+        bits = self.bits & _pack_flags(keep[self.columns], self.bits.shape[1])
+        return CSRVisibility._from_bits(
+            bits, self.columns, _row_counts(bits), self.n_satellites
         )
 
 
@@ -218,26 +331,25 @@ class _CellTiles:
         sat_ecef: np.ndarray,
         sat_ids: np.ndarray,
         chord_km: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, int, int]:
-        """CSR ``(indptr, indices)`` of the satellites each cell sees.
+        n_satellites: int,
+    ) -> Tuple[CSRVisibility, int, int]:
+        """The relation of the satellites each cell sees, as bit rows.
 
-        ``sat_ids`` must ascend; rows come out in cell order with
-        satellite ids ascending. Also returns how many (cell,
+        ``sat_ids`` must ascend; the relation's columns are the ones
+        that survive the all-cells cull. Also returns how many (cell,
         satellite) pairs the exact test evaluated and how many passed.
         """
         n_cells = self.n_cells
         counts_tiled = np.zeros(n_cells, dtype=np.int64)
-        # Per tile with any satellite in reach: (span, satellite ids,
-        # satellites x cells hit mask, or None when every cell sees
-        # every one of them).
-        blocks: List[Tuple[int, int, np.ndarray, Optional[np.ndarray]]] = []
+        columns = np.empty(0, dtype=np.int64)
+        bits = np.zeros((n_cells, 0), dtype=np.uint8)
         evaluated = passed = 0
         if n_cells and sat_ids.size:
             # Satellites out of reach of every cell.
             offset = sat_ecef - self.whole_center
             reach = np.sqrt((offset * offset).sum(axis=1))
             keep = reach <= self.whole_radius + chord_km + _TILE_MARGIN_KM
-            sat_ids = sat_ids[keep]
+            columns = sat_ids[keep]
             sat_x, sat_y, sat_z = (
                 np.ascontiguousarray(sat_ecef[keep, axis]) for axis in range(3)
             )
@@ -256,6 +368,14 @@ class _CellTiles:
             near = dist <= radii + (chord_km + _TILE_MARGIN_KM)
             partial = near & (dist > (chord_km - _TILE_MARGIN_KM) - radii)
             cell_x, cell_y, cell_z = self.axes
+            row_bytes = _row_bytes(columns.size)
+            bits = np.zeros((n_cells, row_bytes), dtype=np.uint8)
+            # One tile's cells x columns hits, packed into its cells' rows
+            # (in tile order: contiguous writes, one gather at the end).
+            scratch = np.zeros(
+                (max(hi - lo for lo, hi in self.spans), 8 * row_bytes),
+                dtype=bool,
+            )
             for tile, (lo, hi) in enumerate(self.spans):
                 cols = np.flatnonzero(near[tile])
                 width = cols.size
@@ -265,7 +385,9 @@ class _CellTiles:
                 pick = cols[tested]
                 if not pick.size:
                     counts_tiled[lo:hi] = width
-                    blocks.append((lo, hi, sat_ids[cols], None))
+                    scratch[0, cols] = True
+                    bits[lo:hi] = np.packbits(scratch[0], bitorder="little")
+                    scratch[0, cols] = False
                     continue
                 # Exact test, satellites x cells (cells innermost).
                 delta = sat_x[pick, None] - cell_x[lo:hi]
@@ -278,32 +400,18 @@ class _CellTiles:
                 counts = np.add.reduce(hits, axis=0, dtype=np.int64)
                 evaluated += hits.size
                 passed += int(counts.sum())
+                rows = scratch[: hi - lo]
                 if pick.size < width:
                     counts += width - pick.size
-                    block = np.ones((width, hi - lo), dtype=bool)
-                    block[tested] = hits
-                else:
-                    block = hits
+                    rows[:, cols[~tested]] = True
+                rows[:, pick] = hits.T
+                bits[lo:hi] = np.packbits(rows, axis=1, bitorder="little")
+                rows.fill(False)
                 counts_tiled[lo:hi] = counts
-                blocks.append((lo, hi, sat_ids[cols], block))
-        counts = counts_tiled[self.rank]
-        indptr = np.zeros(n_cells + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        # Scatter each tile's rows to their cells' CSR slots; satellite
-        # ids ascend within a row because ``cols`` does.
-        for lo, hi, sats, block in blocks:
-            starts = indptr[self.order[lo:hi]]
-            if block is None:
-                indices[starts[:, None] + np.arange(sats.size)] = sats
-                continue
-            row_counts = counts_tiled[lo:hi]
-            flat = np.flatnonzero(block.T)  # cell-major hit positions
-            row_starts = np.cumsum(row_counts) - row_counts
-            slots = np.repeat(starts - row_starts, row_counts)
-            slots += np.arange(flat.size)
-            indices[slots] = np.take(np.tile(sats, hi - lo), flat)
-        return indptr, indices, evaluated, passed
+        relation = CSRVisibility._from_bits(
+            bits[self.rank], columns, counts_tiled[self.rank], n_satellites
+        )
+        return relation, evaluated, passed
 
 
 @dataclass(frozen=True)
@@ -428,20 +536,18 @@ class VisibilityIndex:
         return sat_ecef, eligible, np.concatenate(lats)
 
     def query(self, time_s: float) -> Tuple[CSRVisibility, np.ndarray]:
-        """(CSR visibility, satellite latitudes in degrees) at ``time_s``."""
+        """(Visibility relation, satellite latitudes in degrees) at ``time_s``."""
         sat_ecef, eligible, lats = self._satellites(time_s)
         sat_ids = (
             np.flatnonzero(eligible)
             if eligible is not None
             else np.arange(self.n_satellites, dtype=np.int64)
         )
-        indptr, indices, evaluated, passed = self._tiles.visible(
+        csr, evaluated, passed = self._tiles.visible(
             sat_ecef[sat_ids],
             sat_ids,
             self._chord_by_sat[sat_ids],
-        )
-        csr = CSRVisibility(
-            indptr=indptr, indices=indices, n_satellites=self.n_satellites
+            self.n_satellites,
         )
         self.last_query_stats = {
             "candidates": evaluated,

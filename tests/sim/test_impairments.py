@@ -6,6 +6,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.geo.coords import LatLon
 from repro.orbits.shells import GEN1_SHELLS
+from repro.sim.assignment import GreedyDemandFirst, ProportionalFair
 from repro.sim.engine import SimulationClock
 from repro.sim.impairments import (
     RainFade,
@@ -13,6 +14,7 @@ from repro.sim.impairments import (
     apply_impairments,
 )
 from repro.sim.simulation import ConstellationSimulation
+from repro.sim.visibility_index import CSRVisibility
 
 from tests.conftest import build_toy_dataset
 
@@ -116,3 +118,40 @@ class TestSimulationWithImpairments:
         assert rainy_metrics.mean_allocated_mbps().sum() >= (
             clear_metrics.mean_allocated_mbps().sum()
         )
+
+    @pytest.mark.parametrize("strategy_cls", [GreedyDemandFirst, ProportionalFair])
+    def test_impaired_fast_step_stays_packed(
+        self, regional_dataset, monkeypatch, strategy_cls
+    ):
+        # The fast step filters, counts and assigns on packed bit rows,
+        # and matches the reference engine's list filter; the CSR view
+        # is never derived.
+        sims = {
+            engine: ConstellationSimulation(
+                GEN1_SHELLS[:2],
+                regional_dataset,
+                strategy=strategy_cls(),
+                impairments=[SatelliteOutages(outage_fraction=0.3, seed=4)],
+                engine=engine,
+            )
+            for engine in ("fast", "reference")
+        }
+        times = (0.0, 60.0, 1800.0)
+        expected = [sims["reference"].step(time_s) for time_s in times]
+
+        def refuse(self):
+            raise AssertionError("CSR derived on the fast step path")
+
+        monkeypatch.setattr(CSRVisibility, "_derive_csr", refuse)
+        for time_s, (want, want_in_view, _) in zip(times, expected):
+            outcome, in_view, _ = sims["fast"].step(time_s)
+            np.testing.assert_array_equal(in_view, want_in_view)
+            for field in (
+                "covered",
+                "beams_used",
+                "serving_satellite",
+                "capacity_pointed_mbps",
+            ):
+                np.testing.assert_array_equal(
+                    getattr(outcome, field), getattr(want, field)
+                )

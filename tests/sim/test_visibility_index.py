@@ -24,6 +24,8 @@ from repro.sim.visibility_index import (
     _tile_order,
 )
 
+from .visibility_reference import reference_query, reference_visible
+
 
 @pytest.fixture(scope="module")
 def regional_sim(regional_dataset):
@@ -54,6 +56,19 @@ def assert_matches_reference(sim, time_s):
     assert 0.0 <= stats["refine_ratio"] <= 1.0
     passed = stats["refine_ratio"] * stats["candidates"]
     assert 0 <= passed <= stats["candidates"]
+
+
+def assert_matches_scatter(index, time_s):
+    """The packed relation unpacks to the former CSR scatter's arrays."""
+    relation, _ = index.query(time_s)
+    indptr, indices, evaluated, passed = reference_query(index, time_s)
+    np.testing.assert_array_equal(relation.indptr, indptr)
+    np.testing.assert_array_equal(relation.indices, indices)
+    np.testing.assert_array_equal(relation.counts(), np.diff(indptr))
+    assert relation.nnz == indices.size
+    stats = index.last_query_stats
+    assert stats["candidates"] == evaluated
+    assert stats["refine_ratio"] == (passed / evaluated if evaluated else 1.0)
 
 
 #: Orbital period of GEN1_SHELLS[0], the lower of ``regional_sim``'s two
@@ -92,6 +107,61 @@ class TestCSRVisibility:
         for rebuilt, original in zip(filtered.to_lists(), expected):
             np.testing.assert_array_equal(rebuilt, original)
         assert filtered.n_satellites == csr.n_satellites
+        # Rows spanning several 64-bit words, with ids on byte and word
+        # edges; counts come from the packed rows, not from unpacking.
+        rng = np.random.default_rng(5)
+        n_sats = 200
+        wide = [
+            np.sort(rng.choice(n_sats, size=rng.integers(0, 80), replace=False))
+            for _ in range(40)
+        ]
+        wide.append(np.array([7, 8, 63, 64, 127, 128, 199]))
+        csr = CSRVisibility.from_lists(wide, n_satellites=n_sats)
+        keep = rng.random(n_sats) < 0.6
+        keep[[8, 64, 128]] = False
+        filtered = csr.filter_satellites(keep)
+        expected = [sats[keep[sats]] for sats in wide]
+        np.testing.assert_array_equal(
+            filtered.counts(), [sats.size for sats in expected]
+        )
+        assert filtered.nnz == sum(sats.size for sats in expected)
+        for rebuilt, original in zip(filtered.to_lists(), expected):
+            np.testing.assert_array_equal(rebuilt, original)
+
+    def test_from_lists_sorts_each_row(self):
+        csr = CSRVisibility.from_lists(
+            [np.array([3, 0, 2]), np.array([], dtype=np.int64), np.array([1])],
+            n_satellites=4,
+        )
+        np.testing.assert_array_equal(csr.indices, [0, 2, 3, 1])
+        np.testing.assert_array_equal(csr.indptr, [0, 3, 3, 4])
+
+    @pytest.mark.parametrize(
+        "row",
+        [[-1], [0, 4], [2, 0, 2]],
+        ids=["negative-id", "id-past-the-end", "repeated-id"],
+    )
+    def test_from_lists_rejects_bad_ids(self, row):
+        with pytest.raises(SimulationError):
+            CSRVisibility.from_lists(
+                [np.array([1]), np.array(row)], n_satellites=4
+            )
+
+    @pytest.mark.parametrize(
+        "indptr,indices",
+        [([0, 1], [7]), ([0, 1], [-1]), ([0, 2], [1, 1]), ([0, 2, 1, 2], [0, 1])],
+        ids=["id-past-the-end", "negative-id", "repeated-id", "falling-indptr"],
+    )
+    def test_constructor_rejects_bad_rows(self, indptr, indices):
+        with pytest.raises(SimulationError):
+            CSRVisibility(indptr=indptr, indices=indices, n_satellites=3)
+
+    def test_zero_satellite_relation(self):
+        csr = CSRVisibility.from_lists([np.array([], dtype=np.int64)] * 2, 0)
+        assert csr.n_cells == 2 and csr.nnz == 0
+        np.testing.assert_array_equal(csr.counts(), [0, 0])
+        filtered = csr.filter_satellites(np.ones(0, dtype=bool))
+        assert filtered.nnz == 0 and filtered.indices.size == 0
 
     def test_rejects_misshapen_indptr(self):
         with pytest.raises(SimulationError):
@@ -266,10 +336,12 @@ def oracle_lists(cells, sat_ecef, chord_km):
 def assert_tiles_match_oracle(tiles, cells, sat_ecef, chord_km):
     """The tiled kernel == the cKDTree oracle, cell for cell."""
     chord_km = np.asarray(chord_km, dtype=float)
-    indptr, indices, evaluated, kept = tiles.visible(
-        sat_ecef, np.arange(len(sat_ecef), dtype=np.int64), chord_km
-    )
-    csr = CSRVisibility(indptr=indptr, indices=indices, n_satellites=len(sat_ecef))
+    sat_ids = np.arange(len(sat_ecef), dtype=np.int64)
+    csr, evaluated, kept = tiles.visible(sat_ecef, sat_ids, chord_km, len(sat_ecef))
+    indptr, indices, *counted = reference_visible(tiles, sat_ecef, sat_ids, chord_km)
+    np.testing.assert_array_equal(csr.indptr, indptr)
+    np.testing.assert_array_equal(csr.indices, indices)
+    assert [evaluated, kept] == counted
     expected = oracle_lists(cells, sat_ecef, chord_km)
     assert csr.n_cells == len(expected)
     for cell, sats in enumerate(expected):
@@ -374,6 +446,7 @@ class TestTiledKernel:
             sim = ConstellationSimulation(shells, dataset, gateways=gateways)
             for time_s in times_s:
                 assert_matches_reference(sim, time_s)
+                assert_matches_scatter(sim.visibility_index, time_s)
             return
         probe = ConstellationSimulation(
             shells,
@@ -388,6 +461,7 @@ class TestTiledKernel:
             gateway_radii_km=probe._gateway_radii if gateways else None,
         )
         for time_s in times_s:
+            assert_matches_scatter(index, time_s)
             csr, lats = index.query(time_s)
             assert csr.n_cells == 0 and csr.nnz == 0
             np.testing.assert_array_equal(csr.indptr, [0])
@@ -495,11 +569,11 @@ class TestTiledKernel:
 
     def test_empty_inputs(self):
         tiles = _CellTiles(np.empty((0, 3)))
-        indptr, indices, evaluated, kept = tiles.visible(
-            np.empty((0, 3)), np.empty(0, dtype=np.int64), np.empty(0)
+        relation, evaluated, kept = tiles.visible(
+            np.empty((0, 3)), np.empty(0, dtype=np.int64), np.empty(0), 0
         )
-        np.testing.assert_array_equal(indptr, [0])
-        assert indices.size == evaluated == kept == 0
+        np.testing.assert_array_equal(relation.indptr, [0])
+        assert relation.indices.size == evaluated == kept == 0
         cells = _grid_cells(rows=2, cols=2)
         csr, evaluated = assert_tiles_match_oracle(
             _CellTiles(cells), cells, np.empty((0, 3)), []
